@@ -1,17 +1,27 @@
 // E1 — §1 headline claim: vectorized execution "allows modern CPU to
 // process queries more than 10 times faster than conventional query
-// engines". Two experiments:
+// engines". Experiments:
 //  1. Per-primitive ns/row sweeps of the hot kernels (selection compares,
 //     mask compaction, hashing, keyless aggregation) at every SIMD
 //     dispatch level this machine supports, scalar speedup column — the
 //     kernels behind the dispatch layer in src/simd/.
-//  2. TPC-H Q1 and Q6 through the vectorized engine (per level) vs the
-//     Volcano tuple-at-a-time baseline, same memory-resident data.
+//  2. Grouped aggregation split into its two halves — group lookup
+//     (direct map or hash + compare + fix-up) and the update kernels —
+//     for a 4-group and a 64k-group key at every level, with a result
+//     checksum per level (CI diffs scalar against auto).
+//  3. TPC-H Q1 and Q6 through the vectorized engine (per level) vs the
+//     Volcano tuple-at-a-time baseline, same memory-resident data, and
+//     Q1's HashAgg self time per row at SF 0.1 on one worker, read from
+//     the query profile.
 // `--json <path>` writes every measurement as BENCH_E1.json for CI.
+#include <algorithm>
+#include <cinttypes>
 #include <random>
 
 #include "bench_util.h"
+#include "common/hash.h"
 #include "engine/session.h"
+#include "exec/hash_agg.h"
 #include "primitives/agg_kernels.h"
 #include "primitives/hash_kernels.h"
 #include "primitives/primitive_registry.h"
@@ -116,24 +126,26 @@ int main(int argc, char** argv) {
     });
   }});
   prims.push_back({"agg_sum_i64_keyless", [&](SimdLevel l) {
-    int64_t acc_i64 = 0, acc_cnt = 0;
-    double acc_f64 = 0;
+    int64_t sum = 0, wraps = 0, null_count = 0;
+    const agg::Slots acc{&sum, nullptr, &wraps, &null_count};
+    const void* cols[1] = {i64.data()};
+    const agg::UpdateFn fn =
+        agg::FindUpdate(AggKind::kSum, TypeId::kI64, 1, true, l);
     return bench::MinTime(5, [&] {
       for (int it = 0; it < kIters; it++) {
-        agg::UpdateAccum(AggKind::kSum, TypeId::kI64, kN, nullptr, nullptr,
-                         nulls.data(), i64.data(), &acc_i64, &acc_f64,
-                         &acc_cnt, l);
+        fn(kN, nullptr, nullptr, cols, nulls.data(), &acc);
       }
     });
   }});
   prims.push_back({"agg_max_i32_keyless", [&](SimdLevel l) {
-    int64_t acc_i64 = 0, acc_cnt = 0;
-    double acc_f64 = 0;
+    int64_t best = INT64_MIN, null_count = 0;
+    const agg::Slots acc{&best, nullptr, nullptr, &null_count};
+    const void* cols[1] = {i32.data()};
+    const agg::UpdateFn fn =
+        agg::FindUpdate(AggKind::kMax, TypeId::kI32, 1, true, l);
     return bench::MinTime(5, [&] {
       for (int it = 0; it < kIters; it++) {
-        agg::UpdateAccum(AggKind::kMax, TypeId::kI32, kN, nullptr, nullptr,
-                         nulls.data(), i32.data(), &acc_i64, &acc_f64,
-                         &acc_cnt, l);
+        fn(kN, nullptr, nullptr, cols, nulls.data(), &acc);
       }
     });
   }});
@@ -159,6 +171,100 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
+
+  // ---- grouped aggregation: lookup vs update -------------------------------
+  // 256 vectors of i64 keys: 4 groups in long runs (the Q1 shape: direct
+  // map, back-to-back rows of one group) and 64k uniform groups (hash
+  // lookup, cache-missing accumulators). Each vector folds SUM(f64),
+  // SUM(i64) and COUNT(*).
+  constexpr int kVecs = 256;
+  const Schema key_schema({Field("k", TypeId::kI64)});
+  const std::vector<AggKind> gkinds = {AggKind::kSum, AggKind::kSum,
+                                       AggKind::kCount};
+  const std::vector<TypeId> gtypes = {TypeId::kF64, TypeId::kI64,
+                                      TypeId::kI64};
+  std::printf("\ngrouped aggregation ns/row (%d x %d-row vectors):\n", kVecs,
+              kN);
+  std::printf("%-12s %10s %12s %12s\n", "groups", "level", "lookup",
+              "update");
+  std::vector<uint64_t> checksum(kNumSimdLevels, 0);
+  for (const int groups : {4, 65536}) {
+    std::vector<std::unique_ptr<Vector>> keys;
+    int64_t run_key = 0;
+    for (int v = 0; v < kVecs; v++) {
+      keys.push_back(std::make_unique<Vector>(TypeId::kI64, kN));
+      for (int i = 0; i < kN; i++) {
+        if (groups > 4 || rng() % 8 == 0) {
+          run_key = static_cast<int64_t>(rng() % groups);
+        }
+        keys.back()->Data<int64_t>()[i] = run_key;
+      }
+    }
+    std::vector<std::vector<uint32_t>> gids(kVecs,
+                                            std::vector<uint32_t>(kN));
+    for (SimdLevel l : levels) {
+      const agg::UpdateFn sum_f64 =
+          agg::FindUpdate(AggKind::kSum, TypeId::kF64, 1, false, l);
+      const agg::UpdateFn sum_i64 =
+          agg::FindUpdate(AggKind::kSum, TypeId::kI64, 1, false, l);
+      const void* f64_col[1] = {f64.data()};
+      const void* i64_col[1] = {i64.data()};
+      double lookup_s = 1e30, update_s = 1e30;
+      std::unique_ptr<GroupTable> table;
+      for (int rep = 0; rep < 5; rep++) {
+        table = std::make_unique<GroupTable>(key_schema, gkinds, gtypes);
+        bench::Timer t;
+        for (int v = 0; v < kVecs; v++) {
+          std::vector<const Vector*> kv = {keys[v].get()};
+          auto direct = table->DirectLookup(kv, kN, nullptr, gids[v].data());
+          if (!direct.ok()) std::abort();
+          if (*direct) continue;
+          hashk::HashColumn(*keys[v], kN, nullptr, hashes.data(), false, l);
+          if (!table->Lookup(kv, kN, nullptr, hashes.data(), gids[v].data())
+                   .ok()) {
+            std::abort();
+          }
+        }
+        lookup_s = std::min(lookup_s, t.Seconds());
+        t.Reset();
+        for (int v = 0; v < kVecs; v++) {
+          const agg::Slots f = table->accum(0).slots();
+          const agg::Slots i = table->accum(1).slots();
+          sum_f64(kN, nullptr, gids[v].data(), f64_col, nullptr, &f);
+          sum_i64(kN, nullptr, gids[v].data(), i64_col, nullptr, &i);
+          agg::CountRows(kN, gids[v].data(), table->rows(),
+                         table->num_groups());
+        }
+        update_s = std::min(update_s, t.Seconds());
+      }
+      // Checksum of the last repetition's table, in group-id order.
+      uint64_t h = HashMix(static_cast<uint64_t>(table->num_groups()));
+      for (int64_t g = 0; g < table->num_groups(); g++) {
+        uint64_t bits;
+        std::memcpy(&bits, &table->accum(0).f64[g], sizeof bits);
+        h = HashCombine(h, HashInt(table->keys().Col<int64_t>(0)[g]));
+        h = HashCombine(h, bits);
+        h = HashCombine(h, HashInt(table->accum(1).i64[g]));
+        h = HashCombine(h, HashInt(table->rows()[g]));
+      }
+      checksum[static_cast<int>(l)] =
+          HashCombine(checksum[static_cast<int>(l)], h);
+      const double rows_total = static_cast<double>(kVecs) * kN;
+      const double lookup_ns = lookup_s * 1e9 / rows_total;
+      const double update_ns = update_s * 1e9 / rows_total;
+      std::printf("%-12d %10s %12.3f %12.3f\n", groups, SimdLevelName(l),
+                  lookup_ns, update_ns);
+      const std::string base = "grouped_" + std::to_string(groups) + " ";
+      json.Add(base + "lookup " + SimdLevelName(l), lookup_ns);
+      json.Add(base + "update " + SimdLevelName(l), update_ns);
+    }
+  }
+  // Every level must fold to the same groups and accumulator bits. CI
+  // diffs these two lines.
+  std::printf("\ngrouped checksum scalar: %016" PRIx64 "\n",
+              checksum[static_cast<int>(SimdLevel::kScalar)]);
+  std::printf("grouped checksum auto: %016" PRIx64 "\n",
+              checksum[static_cast<int>(ResolveSimdLevel(SimdMode::kAuto))]);
 
   // ---- end-to-end: Q1/Q6 per level vs the Volcano baseline ----------------
   const double sf = 0.02;
@@ -218,5 +324,33 @@ int main(int argc, char** argv) {
               vol_t[0] / vec_best[0] > 10 && vol_t[1] / vec_best[1] > 10
                   ? "CONFIRMED"
                   : "see EXPERIMENTS.md");
+
+  // ---- Q1's aggregation layer, from the query profile ---------------------
+  // HashAgg self time (exclusive of its children) per input row at SF 0.1
+  // on one worker: the per-layer figure the grouped-aggregation work is
+  // measured by.
+  {
+    Database db1;
+    if (!tpch::Generate(&db1, 0.1).ok()) return 1;
+    db1.config().max_parallelism = 1;
+    Session s1(&db1);
+    std::vector<double> per_row;
+    for (int r = 0; r < 7; r++) {
+      auto res = s1.Execute(tpch::Q1Plan());
+      if (!res.ok()) return 1;
+      int64_t agg_ns = 0, agg_rows = 0;
+      for (const OperatorProfile& p : res->profile.operators) {
+        if (p.op == "HashAgg") agg_ns += p.exclusive_ns();
+        if (p.op == "Project") agg_rows += p.rows;  // HashAgg's input
+      }
+      if (agg_rows > 0) per_row.push_back(static_cast<double>(agg_ns) / agg_rows);
+    }
+    std::sort(per_row.begin(), per_row.end());
+    const double median = per_row.empty() ? 0 : per_row[per_row.size() / 2];
+    std::printf("\nQ1 HashAgg self ns/row (SF 0.1, 1 worker, median of %zu): "
+                "%.2f\n",
+                per_row.size(), median);
+    json.Add("Q1 HashAgg self sf0.1 w1", median);
+  }
   return json.Write() ? 0 : 1;
 }

@@ -37,6 +37,202 @@ bool CellsEqual(const RowBuffer& a, int col, int64_t ra, const RowBuffer& b,
   return false;
 }
 
+/// Typed equality of an input cell against a stored group key.
+template <typename T>
+bool CellEquals(const Vector& v, int row, const RowBuffer& keys, int col,
+                int64_t g) {
+  const bool in_null = v.IsNull(row), g_null = keys.IsNull(col, g);
+  if (in_null || g_null) return in_null == g_null;
+  return v.Data<T>()[row] == keys.Col<T>(col)[g];
+}
+
+bool KeyCellEquals(const Vector& v, int row, const RowBuffer& keys, int col,
+                   int64_t g) {
+  switch (v.type()) {
+    case TypeId::kBool: return CellEquals<uint8_t>(v, row, keys, col, g);
+    case TypeId::kI8: return CellEquals<int8_t>(v, row, keys, col, g);
+    case TypeId::kI16: return CellEquals<int16_t>(v, row, keys, col, g);
+    case TypeId::kI32:
+    case TypeId::kDate: return CellEquals<int32_t>(v, row, keys, col, g);
+    case TypeId::kI64: return CellEquals<int64_t>(v, row, keys, col, g);
+    case TypeId::kF64: return CellEquals<double>(v, row, keys, col, g);
+    case TypeId::kStr: return CellEquals<StrRef>(v, row, keys, col, g);
+  }
+  return false;
+}
+
+/// The compare primitive of the vectorized lookup: match[t] &= (input key
+/// of row todo[t] == stored key of group cand[t]) for one key column,
+/// NULL equal to NULL.
+template <typename T>
+void MatchColumnT(int m, const int32_t* todo, const int64_t* cand,
+                  const sel_t* sel, const Vector& v, const RowBuffer& keys,
+                  int col, uint8_t* match) {
+  const T* in = v.Data<T>();
+  const T* stored = keys.Col<T>(col);
+  const uint8_t* in_nulls = v.has_nulls() ? v.nulls() : nullptr;
+  const uint8_t* st_nulls = keys.Nulls(col);
+  if (in_nulls == nullptr && st_nulls == nullptr) {
+    for (int t = 0; t < m; t++) {
+      const int i = sel ? sel[todo[t]] : todo[t];
+      match[t] &= static_cast<uint8_t>(in[i] == stored[cand[t]]);
+    }
+    return;
+  }
+  for (int t = 0; t < m; t++) {
+    const int i = sel ? sel[todo[t]] : todo[t];
+    const bool a = in_nulls != nullptr && in_nulls[i];
+    const bool b = st_nulls != nullptr && st_nulls[cand[t]];
+    match[t] &= static_cast<uint8_t>(a == b &&
+                                     (a || in[i] == stored[cand[t]]));
+  }
+}
+
+void MatchColumn(int m, const int32_t* todo, const int64_t* cand,
+                 const sel_t* sel, const Vector& v, const RowBuffer& keys,
+                 int col, uint8_t* match) {
+  switch (v.type()) {
+    case TypeId::kBool:
+      return MatchColumnT<uint8_t>(m, todo, cand, sel, v, keys, col, match);
+    case TypeId::kI8:
+      return MatchColumnT<int8_t>(m, todo, cand, sel, v, keys, col, match);
+    case TypeId::kI16:
+      return MatchColumnT<int16_t>(m, todo, cand, sel, v, keys, col, match);
+    case TypeId::kI32:
+    case TypeId::kDate:
+      return MatchColumnT<int32_t>(m, todo, cand, sel, v, keys, col, match);
+    case TypeId::kI64:
+      return MatchColumnT<int64_t>(m, todo, cand, sel, v, keys, col, match);
+    case TypeId::kF64:
+      return MatchColumnT<double>(m, todo, cand, sel, v, keys, col, match);
+    case TypeId::kStr:
+      return MatchColumnT<StrRef>(m, todo, cand, sel, v, keys, col, match);
+  }
+}
+
+/// Hash of a NULL key cell: the hash of the type's zero value, whatever
+/// the NULL slot holds, so every NULL key lands in one group.
+uint64_t NullKeyHash(TypeId t) {
+  switch (t) {
+    case TypeId::kF64: return hashk::HashValue(0.0);
+    case TypeId::kStr: return hashk::HashValue(StrRef());
+    default: return hashk::HashValue(int64_t{0});
+  }
+}
+
+uint64_t KeyCellHash(const Vector& v, int i) {
+  if (v.IsNull(i)) return NullKeyHash(v.type());
+  switch (v.type()) {
+    case TypeId::kBool: return hashk::HashValue(v.Data<uint8_t>()[i]);
+    case TypeId::kI8: return hashk::HashValue(v.Data<int8_t>()[i]);
+    case TypeId::kI16: return hashk::HashValue(v.Data<int16_t>()[i]);
+    case TypeId::kI32:
+    case TypeId::kDate: return hashk::HashValue(v.Data<int32_t>()[i]);
+    case TypeId::kI64: return hashk::HashValue(v.Data<int64_t>()[i]);
+    case TypeId::kF64: return hashk::HashValue(v.Data<double>()[i]);
+    case TypeId::kStr: return hashk::HashValue(v.Data<StrRef>()[i]);
+  }
+  return 0;
+}
+
+/// One row's key hash, identical to HashKeys for that row.
+uint64_t HashKeyRow(const std::vector<const Vector*>& keys, int i) {
+  uint64_t h = 0;
+  for (size_t k = 0; k < keys.size(); k++) {
+    const uint64_t hv = KeyCellHash(*keys[k], i);
+    h = k == 0 ? hv : HashCombine(h, hv);
+  }
+  return h;
+}
+
+/// hashes[j] = combined key hash of row sel ? sel[j] : j, one hash
+/// primitive per key column; NULL cells hash as NullKeyHash.
+void HashKeys(const std::vector<const Vector*>& keys, int n, const sel_t* sel,
+              uint64_t* hashes, uint64_t* tmp, SimdLevel simd) {
+  for (size_t k = 0; k < keys.size(); k++) {
+    const Vector& v = *keys[k];
+    if (!v.has_nulls()) {
+      hashk::HashColumn(v, n, sel, hashes, k > 0, simd);
+      continue;
+    }
+    hashk::HashColumn(v, n, sel, tmp, false, simd);
+    const uint64_t null_hash = NullKeyHash(v.type());
+    const uint8_t* nulls = v.nulls();
+    for (int j = 0; j < n; j++) {
+      const uint64_t hv = nulls[sel ? sel[j] : j] ? null_hash : tmp[j];
+      hashes[j] = k == 0 ? hv : HashCombine(hashes[j], hv);
+    }
+  }
+}
+
+constexpr unsigned kEmptyStrCode = 256;
+constexpr unsigned kNullCode = 257;
+
+/// Runs body(j, i, null) over the live rows j (input row i), instantiated
+/// per selection/NULL shape so the common dense, NULL-free loop carries
+/// no per-row test for either.
+template <typename Body>
+void ForEachRow(int n, const sel_t* sel, const uint8_t* nulls, Body body) {
+  if (sel == nullptr && nulls == nullptr) {
+    for (int j = 0; j < n; j++) body(j, j, false);
+  } else if (nulls == nullptr) {
+    for (int j = 0; j < n; j++) body(j, sel[j], false);
+  } else {
+    for (int j = 0; j < n; j++) {
+      const int i = sel ? sel[j] : j;
+      body(j, i, nulls[i] != 0);
+    }
+  }
+}
+
+template <typename T, typename Fn>
+bool ForEachIntCode(const Vector& v, int n, const sel_t* sel, Fn fn) {
+  const T* d = v.Data<T>();
+  bool bad = false;
+  // NULL slots may hold anything: their code is kNullCode regardless.
+  ForEachRow(n, sel, v.has_nulls() ? v.nulls() : nullptr,
+             [&](int j, int i, bool null) {
+               const int64_t x = d[i];
+               bad |= !null && (x < 0 || x > 255);
+               fn(j, null ? kNullCode : static_cast<unsigned>(x & 0xFF));
+             });
+  return !bad;
+}
+
+/// Calls fn(j, code) with the direct-map byte code of every live row of
+/// one key column (0..255, kEmptyStrCode, kNullCode). Returns false when
+/// some non-NULL value has no byte-sized code (fn still ran on every row,
+/// with an in-range placeholder code).
+template <typename Fn>
+bool ForEachByteCode(const Vector& v, int n, const sel_t* sel, Fn fn) {
+  switch (v.type()) {
+    case TypeId::kBool:
+    case TypeId::kI8:
+      return ForEachIntCode<uint8_t>(v, n, sel, fn);
+    case TypeId::kI16: return ForEachIntCode<int16_t>(v, n, sel, fn);
+    case TypeId::kI32:
+    case TypeId::kDate: return ForEachIntCode<int32_t>(v, n, sel, fn);
+    case TypeId::kI64: return ForEachIntCode<int64_t>(v, n, sel, fn);
+    case TypeId::kStr: {
+      const StrRef* d = v.Data<StrRef>();
+      bool bad = false;
+      ForEachRow(n, sel, v.has_nulls() ? v.nulls() : nullptr,
+                 [&](int j, int i, bool null) {
+                   const uint32_t len = d[i].len;
+                   bad |= !null && len > 1;
+                   fn(j, null ? kNullCode
+                              : len == 0
+                                    ? kEmptyStrCode
+                                    : static_cast<uint8_t>(d[i].data[0]));
+                 });
+      return !bad;
+    }
+    case TypeId::kF64:
+      return false;
+  }
+  return false;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -45,13 +241,13 @@ bool CellsEqual(const RowBuffer& a, int col, int64_t ra, const RowBuffer& b,
 
 GroupTable::GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
                        std::vector<TypeId> in_types)
-    : kinds_(std::move(kinds)) {
+    : kinds_(std::move(kinds)), in_types_(std::move(in_types)) {
   keys_ = std::make_unique<RowBuffer>(key_schema);
   buckets_.assign(1024, -1);
   bucket_mask_ = buckets_.size() - 1;
   accums_.resize(kinds_.size());
-  for (size_t a = 0; a < accums_.size(); a++) {
-    accums_[a].in_type = in_types[a];
+  for (size_t a = 0; a < kinds_.size(); a++) {
+    layouts_.push_back(agg::LayoutOf(kinds_[a], in_types_[a]));
   }
 }
 
@@ -63,103 +259,234 @@ Result<uint32_t> GroupTable::FinishNewGroup(uint64_t hash) {
   key_hashes_.push_back(hash);
   chain_.push_back(buckets_[hash & bucket_mask_]);
   buckets_[hash & bucket_mask_] = gid;
-  for (Accum& a : accums_) {
-    a.i64.push_back(0);
-    a.f64.push_back(0);
-    a.count.push_back(0);
+  rows_.push_back(0);
+  for (size_t a = 0; a < accums_.size(); a++) {
+    Accum& acc = accums_[a];
+    const agg::Layout& l = layouts_[a];
+    if (l.i64) acc.i64.push_back(l.i64_init);
+    if (l.f64) acc.f64.push_back(l.f64_init);
+    if (l.wraps) acc.wraps.push_back(0);
+    if (acc.counts_nulls) acc.nulls.push_back(0);
   }
   // Rehash when load factor exceeds ~0.7.
   if (keys_->rows() * 10 > static_cast<int64_t>(buckets_.size()) * 7) {
     buckets_.assign(buckets_.size() * 2, -1);
-    bucket_mask_ = buckets_.size() - 1;
-    for (int64_t r = 0; r < keys_->rows(); r++) {
-      const uint64_t slot = key_hashes_[r] & bucket_mask_;
-      chain_[r] = buckets_[slot];
-      buckets_[slot] = r;
-    }
+    RebuildIndex();
   }
   return static_cast<uint32_t>(gid);
 }
 
-Result<uint32_t> GroupTable::FindOrAdd(
-    const std::vector<const Vector*>& key_vecs, int row, uint64_t hash) {
-  int64_t node = buckets_[hash & bucket_mask_];
-  while (node >= 0) {
-    if (key_hashes_[node] == hash) {
-      bool eq = true;
-      for (size_t k = 0; k < key_vecs.size() && eq; k++) {
-        const Vector* v = key_vecs[k];
-        const bool in_null = v->IsNull(row);
-        const bool g_null = keys_->IsNull(static_cast<int>(k), node);
-        if (in_null != g_null) {
-          eq = false;
-        } else if (!in_null) {
-          // Typed equality against the stored key.
-          switch (v->type()) {
-            case TypeId::kBool:
-              eq = v->Data<uint8_t>()[row] ==
-                   keys_->Col<uint8_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI8:
-              eq = v->Data<int8_t>()[row] ==
-                   keys_->Col<int8_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI16:
-              eq = v->Data<int16_t>()[row] ==
-                   keys_->Col<int16_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI32:
-            case TypeId::kDate:
-              eq = v->Data<int32_t>()[row] ==
-                   keys_->Col<int32_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI64:
-              eq = v->Data<int64_t>()[row] ==
-                   keys_->Col<int64_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kF64:
-              eq = v->Data<double>()[row] ==
-                   keys_->Col<double>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kStr:
-              eq = v->Data<StrRef>()[row] ==
-                   keys_->Col<StrRef>(static_cast<int>(k))[node];
-              break;
-          }
-        }
-      }
-      if (eq) return static_cast<uint32_t>(node);
-    }
-    node = chain_[node];
+void GroupTable::RebuildIndex() {
+  bucket_mask_ = buckets_.size() - 1;
+  chain_.resize(key_hashes_.size());
+  for (size_t r = 0; r < key_hashes_.size(); r++) {
+    const uint64_t slot = key_hashes_[r] & bucket_mask_;
+    chain_[r] = buckets_[slot];
+    buckets_[slot] = static_cast<int64_t>(r);
   }
-  keys_->AppendRowFromVectors(key_vecs, row);
+}
+
+void GroupTable::EnsureNullCounts(size_t a) {
+  Accum& acc = accums_[a];
+  if (acc.counts_nulls) return;
+  acc.nulls.assign(static_cast<size_t>(num_groups()), 0);
+  acc.counts_nulls = true;
+}
+
+Result<uint32_t> GroupTable::FindOrAddRow(
+    const std::vector<const Vector*>& keys, int row, uint64_t hash) {
+  for (int64_t node = buckets_[hash & bucket_mask_]; node >= 0;
+       node = chain_[node]) {
+    if (key_hashes_[node] != hash) continue;
+    bool eq = true;
+    for (size_t k = 0; k < keys.size() && eq; k++) {
+      eq = KeyCellEquals(*keys[k], row, *keys_, static_cast<int>(k), node);
+    }
+    if (eq) return static_cast<uint32_t>(node);
+  }
+  keys_->AppendRowFromVectors(keys, row);
   return FinishNewGroup(hash);
+}
+
+Status GroupTable::Lookup(const std::vector<const Vector*>& keys, int n,
+                          const sel_t* sel, const uint64_t* hashes,
+                          uint32_t* gids) {
+  cand_.resize(n);
+  todo_.resize(n);
+  match_.resize(n);
+  miss_.resize(n);
+  // 1) Candidate gids: the bucket head of every row.
+  int m = 0;
+  int misses = 0;
+  for (int j = 0; j < n; j++) {
+    const int64_t c = buckets_[hashes[j] & bucket_mask_];
+    todo_[m] = j;
+    cand_[m] = c;
+    m += c >= 0;
+    miss_[j] = c < 0;
+    misses += c < 0;
+  }
+  while (m > 0) {
+    // 2) Compare: stored hash first, then one typed primitive per column.
+    for (int t = 0; t < m; t++) {
+      match_[t] = key_hashes_[cand_[t]] == hashes[todo_[t]];
+    }
+    for (size_t k = 0; k < keys.size(); k++) {
+      MatchColumn(m, todo_.data(), cand_.data(), sel, *keys[k], *keys_,
+                  static_cast<int>(k), match_.data());
+    }
+    // 3) Matches resolve; mismatches follow the chain or become misses.
+    int next = 0;
+    for (int t = 0; t < m; t++) {
+      const int j = todo_[t];
+      if (match_[t]) {
+        gids[j] = static_cast<uint32_t>(cand_[t]);
+        continue;
+      }
+      const int64_t c = chain_[cand_[t]];
+      if (c >= 0) {
+        todo_[next] = j;
+        cand_[next] = c;
+        next++;
+      } else {
+        miss_[j] = 1;
+        misses++;
+      }
+    }
+    m = next;
+  }
+  // 4) Fix-up in row order: insert new keys (a key seen twice in this
+  // vector is found by its second row's chain walk).
+  for (int j = 0; misses > 0 && j < n; j++) {
+    if (!miss_[j]) continue;
+    misses--;
+    X100_ASSIGN_OR_RETURN(gids[j],
+                          FindOrAddRow(keys, sel ? sel[j] : j, hashes[j]));
+  }
+  return Status::OK();
+}
+
+Result<bool> GroupTable::DirectLookup(const std::vector<const Vector*>& keys,
+                                      int n, const sel_t* sel,
+                                      uint32_t* gids) {
+  if (dm_off_ || keys.empty()) return false;
+  const size_t nk = keys.size();
+  if (dm_cols_.empty()) {
+    dm_cols_.resize(nk);
+    for (DirectColumn& c : dm_cols_) {
+      c.local.fill(-1);
+      c.shifted.fill(kDirectUnseen);
+    }
+    dm_map_.assign(1, -1);
+  }
+  dm_comb_.resize(n);
+  uint32_t* comb = dm_comb_.data();
+  // One pass per key column ORs its shifted local code into the combined
+  // code; the last pass also reads the map. Returns -1 when a column does
+  // not fit, 0 when some value has no local code yet (kDirectUnseen), 1
+  // when every row is coded.
+  const auto probe = [&]() -> int {
+    const int32_t* map = dm_map_.data();
+    const uint32_t mask = static_cast<uint32_t>(dm_map_.size() - 1);
+    uint32_t seen = 0;
+    for (size_t k = 0; k < nk; k++) {
+      const uint32_t* tab = dm_cols_[k].shifted.data();
+      const bool first = k == 0, last = k + 1 == nk;
+      const bool fits = ForEachByteCode(
+          *keys[k], n, sel, [&](int j, unsigned c) {
+            const uint32_t x = first ? tab[c] : comb[j] | tab[c];
+            comb[j] = x;
+            if (last) {
+              seen |= x;
+              gids[j] = static_cast<uint32_t>(map[x & mask]);
+            }
+          });
+      if (!fits) return -1;
+    }
+    return (seen & kDirectUnseen) != 0 ? 0 : 1;
+  };
+  int coded = probe();
+  if (coded < 0) return false;
+  if (coded == 0) {
+    // New values take the next local code of their column; a column whose
+    // distinct count outgrows its bits widens, which re-packs the map.
+    bool repack = false;
+    for (size_t k = 0; k < nk; k++) {
+      DirectColumn& c = dm_cols_[k];
+      ForEachByteCode(*keys[k], n, sel, [&](int, unsigned code) {
+        if (c.local[code] >= 0) return;
+        c.local[code] = static_cast<int16_t>(c.distinct++);
+        if (c.distinct > (1 << c.bits)) {
+          c.bits++;
+          repack = true;
+        }
+      });
+    }
+    int shift = 0;
+    for (DirectColumn& c : dm_cols_) {
+      for (int code = 0; code < kDirectCodes; code++) {
+        c.shifted[code] = c.local[code] < 0
+                              ? kDirectUnseen
+                              : static_cast<uint32_t>(c.local[code]) << shift;
+      }
+      shift += c.bits;
+    }
+    if (shift > kDirectMapBits) {
+      dm_off_ = true;
+      dm_map_ = {};
+      return false;
+    }
+    if (repack) dm_map_.assign(size_t{1} << shift, -1);
+    coded = probe();
+  }
+  bool miss = false;
+  for (int j = 0; j < n; j++) miss |= static_cast<int32_t>(gids[j]) < 0;
+  if (!miss) return true;
+  for (int j = 0; j < n; j++) {
+    if (static_cast<int32_t>(gids[j]) >= 0) continue;
+    int32_t& slot = dm_map_[comb[j]];
+    if (slot < 0) {
+      const int i = sel ? sel[j] : j;
+      uint32_t g;
+      X100_ASSIGN_OR_RETURN(g, FindOrAddRow(keys, i, HashKeyRow(keys, i)));
+      slot = static_cast<int32_t>(g);
+    }
+    gids[j] = static_cast<uint32_t>(slot);
+  }
+  return true;
 }
 
 size_t GroupTable::MemoryBytes() const {
   size_t b = keys_->MemoryBytes();
   b += (buckets_.capacity() + chain_.capacity()) * sizeof(int64_t);
   b += key_hashes_.capacity() * sizeof(uint64_t);
+  b += rows_.capacity() * sizeof(int64_t);
   for (const Accum& a : accums_) {
-    b += a.i64.capacity() * sizeof(int64_t) +
-         a.f64.capacity() * sizeof(double) +
-         a.count.capacity() * sizeof(int64_t);
+    b += (a.i64.capacity() + a.wraps.capacity() + a.nulls.capacity()) *
+             sizeof(int64_t) +
+         a.f64.capacity() * sizeof(double);
   }
+  b += dm_map_.capacity() * sizeof(int32_t) +
+       dm_cols_.size() * sizeof(DirectColumn);
   return b;
 }
 
 void GroupTable::SerializeTo(std::vector<uint8_t>* out) const {
-  // [u64 keys blob size][keys RowBuffer][hashes][per accum: i64/f64/count].
-  // The open-addressed index is rebuilt on reload — hashes are enough.
+  // [u64 keys blob size][keys RowBuffer][hashes][rows], then per accum the
+  // arrays its layout keeps and [u8 counts_nulls][nulls]. The chained
+  // index is rebuilt on reload — hashes are enough.
   std::vector<uint8_t> keys_blob;
   keys_->SerializeTo(&keys_blob);
   serde::AppendPod<uint64_t>(out, keys_blob.size());
   out->insert(out->end(), keys_blob.begin(), keys_blob.end());
   serde::AppendPodVec(out, key_hashes_);
+  serde::AppendPodVec(out, rows_);
   for (const Accum& a : accums_) {
     serde::AppendPodVec(out, a.i64);
     serde::AppendPodVec(out, a.f64);
-    serde::AppendPodVec(out, a.count);
+    serde::AppendPodVec(out, a.wraps);
+    serde::AppendPod<uint8_t>(out, a.counts_nulls ? 1 : 0);
+    serde::AppendPodVec(out, a.nulls);
   }
 }
 
@@ -181,23 +508,24 @@ Result<std::unique_ptr<GroupTable>> GroupTable::Deserialize(
   X100_RETURN_IF_ERROR(keys.status());
   t->keys_ = std::move(keys).value();
   const size_t n = static_cast<size_t>(t->keys_->rows());
-  if (!in.TakePodVec(n, &t->key_hashes_)) return corrupt;
-  for (Accum& a : t->accums_) {
-    if (!in.TakePodVec(n, &a.i64) || !in.TakePodVec(n, &a.f64) ||
-        !in.TakePodVec(n, &a.count)) {
+  if (!in.TakePodVec(n, &t->key_hashes_) || !in.TakePodVec(n, &t->rows_)) {
+    return corrupt;
+  }
+  for (size_t a = 0; a < t->accums_.size(); a++) {
+    Accum& acc = t->accums_[a];
+    const agg::Layout& l = t->layouts_[a];
+    uint8_t counts_nulls;
+    if (!in.TakePodVec(l.i64 ? n : 0, &acc.i64) ||
+        !in.TakePodVec(l.f64 ? n : 0, &acc.f64) ||
+        !in.TakePodVec(l.wraps ? n : 0, &acc.wraps) ||
+        !in.TakePod(&counts_nulls) || counts_nulls > 1 ||
+        !in.TakePodVec(counts_nulls ? n : 0, &acc.nulls)) {
       return corrupt;
     }
+    acc.counts_nulls = counts_nulls != 0;
   }
-  // Rebuild the index so the reloaded table is fully functional (MergeFrom
-  // sources only need keys/hashes/accums, but a valid table is cheap).
   t->buckets_.assign(std::max<size_t>(1024, NextPow2(n * 2)), -1);
-  t->bucket_mask_ = t->buckets_.size() - 1;
-  t->chain_.resize(n);
-  for (size_t r = 0; r < n; r++) {
-    const uint64_t slot = t->key_hashes_[r] & t->bucket_mask_;
-    t->chain_[r] = t->buckets_[slot];
-    t->buckets_[slot] = static_cast<int64_t>(r);
-  }
+  t->RebuildIndex();
   return t;
 }
 
@@ -209,6 +537,13 @@ void GroupTable::EnsureGlobalGroup() {
 }
 
 Status GroupTable::MergeFrom(const GroupTable& src) {
+  for (size_t a = 0; a < accums_.size(); a++) {
+    if (src.accums_[a].counts_nulls) EnsureNullCounts(a);
+  }
+  std::vector<agg::Slots> from(accums_.size());
+  for (size_t a = 0; a < accums_.size(); a++) {
+    from[a] = const_cast<Accum&>(src.accums_[a]).slots();
+  }
   for (int64_t g = 0; g < src.num_groups(); g++) {
     const uint64_t h = src.key_hashes_[g];
     int64_t node = buckets_[h & bucket_mask_];
@@ -224,44 +559,47 @@ Status GroupTable::MergeFrom(const GroupTable& src) {
     }
     if (node < 0) {
       keys_->AppendRowFromBuffer(*src.keys_, g);
-      auto gid = FinishNewGroup(h);
-      X100_RETURN_IF_ERROR(gid.status());
-      node = *gid;
+      uint32_t gid;
+      X100_ASSIGN_OR_RETURN(gid, FinishNewGroup(h));
+      node = gid;
     }
+    rows_[node] += src.rows_[g];
     for (size_t a = 0; a < accums_.size(); a++) {
-      Accum& d = accums_[a];
-      const Accum& s = src.accums_[a];
-      switch (kinds_[a]) {
-        case AggKind::kCount:
-          d.count[node] += s.count[g];
-          break;
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          d.i64[node] += s.i64[g];
-          d.f64[node] += s.f64[g];
-          d.count[node] += s.count[g];
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax: {
-          if (s.count[g] == 0) break;
-          const bool take =
-              d.count[node] == 0 ||
-              (d.in_type == TypeId::kF64
-                   ? (kinds_[a] == AggKind::kMin ? s.f64[g] < d.f64[node]
-                                                 : s.f64[g] > d.f64[node])
-                   : (kinds_[a] == AggKind::kMin ? s.i64[g] < d.i64[node]
-                                                 : s.i64[g] > d.i64[node]));
-          if (take) {
-            d.i64[node] = s.i64[g];
-            d.f64[node] = s.f64[g];
-          }
-          d.count[node] += s.count[g];
-          break;
-        }
-      }
+      agg::Combine(kinds_[a], layouts_[a], accums_[a].slots(),
+                   static_cast<uint32_t>(node), from[a],
+                   static_cast<uint32_t>(g));
     }
   }
   return Status::OK();
+}
+
+Result<std::vector<std::unique_ptr<GroupTable>>> GroupTable::SplitByRadix(
+    int bits) const {
+  std::vector<std::unique_ptr<GroupTable>> parts;
+  for (int p = 0; p < (1 << bits); p++) {
+    parts.push_back(
+        std::make_unique<GroupTable>(keys_->schema(), kinds_, in_types_));
+    for (size_t a = 0; a < accums_.size(); a++) {
+      if (accums_[a].counts_nulls) parts[p]->EnsureNullCounts(a);
+    }
+  }
+  for (int64_t g = 0; g < num_groups(); g++) {
+    const uint64_t h = key_hashes_[g];
+    GroupTable& dst = *parts[RadixPartitionOf(h, bits)];
+    dst.keys_->AppendRowFromBuffer(*keys_, g);
+    uint32_t ng;
+    X100_ASSIGN_OR_RETURN(ng, dst.FinishNewGroup(h));
+    dst.rows_[ng] = rows_[g];
+    for (size_t a = 0; a < accums_.size(); a++) {
+      const Accum& s = accums_[a];
+      Accum& d = dst.accums_[a];
+      if (!s.i64.empty()) d.i64[ng] = s.i64[g];
+      if (!s.f64.empty()) d.f64[ng] = s.f64[g];
+      if (!s.wraps.empty()) d.wraps[ng] = s.wraps[g];
+      if (s.counts_nulls) d.nulls[ng] = s.nulls[g];
+    }
+  }
+  return parts;
 }
 
 // ---------------------------------------------------------------------------
@@ -347,18 +685,59 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
   for (const AggItem& a : aggs) kinds_.push_back(a.kind);
   key_schema_ = key_schema;
   in_types_ = in_types;
-  tables_.clear();
-  for (int p = 0; p < num_partitions(); p++) {
-    tables_.push_back(
-        std::make_unique<GroupTable>(key_schema, kinds_, in_types));
+
+  // Update steps: aggregates that resolve to the same single-column
+  // kernel (same kind family and input type) fold together, up to
+  // kMaxFused per pass. COUNT(*) has no step: the table's row counts are
+  // its result.
+  steps_.clear();
+  std::vector<agg::UpdateFn> step_key;
+  for (size_t a = 0; a < aggs.size(); a++) {
+    if (agg_progs_[a] == nullptr) continue;
+    const agg::UpdateFn one =
+        agg::FindUpdate(kinds_[a], in_types[a], 1, false, simd);
+    size_t s = 0;
+    while (s < steps_.size() &&
+           (step_key[s] != one ||
+            static_cast<int>(steps_[s].members.size()) >= agg::kMaxFused)) {
+      s++;
+    }
+    if (s == steps_.size()) {
+      steps_.emplace_back();
+      step_key.push_back(one);
+    }
+    steps_[s].members.push_back(static_cast<int>(a));
+    steps_[s].single.push_back(one);
+    steps_[s].with_nulls.push_back(
+        agg::FindUpdate(kinds_[a], in_types[a], 1, true, simd));
   }
+  for (UpdateStep& st : steps_) {
+    const int a = st.members[0];
+    st.fused = agg::FindUpdate(kinds_[a], in_types[a],
+                               static_cast<int>(st.members.size()), false,
+                               simd);
+  }
+
+  tables_.clear();
+  tables_.push_back(std::make_unique<GroupTable>(key_schema, kinds_, in_types));
   spilled_.clear();
-  spilled_.resize(num_partitions());
+  spilled_.resize(size_t{1} << radix_bits_);
   spill_bytes_ = spill_chunks_ = spill_rows_ = 0;
   reserv_.ReleaseAll();
+  key_vecs_.clear();
+  agg_vecs_.assign(aggs.size(), nullptr);
   gids_.resize(vector_size);
-  parts_.assign(vector_size, 0);
   hashes_.resize(vector_size);
+  hash_tmp_.resize(vector_size);
+  parts_.resize(vector_size);
+  part_sel_.resize(vector_size);
+  part_hash_.resize(vector_size);
+  return Status::OK();
+}
+
+Status AggWorkerState::Split() {
+  if (tables_.size() > 1 || radix_bits_ == 0) return Status::OK();
+  X100_ASSIGN_OR_RETURN(tables_, tables_[0]->SplitByRadix(radix_bits_));
   return Status::OK();
 }
 
@@ -380,6 +759,8 @@ Status AggWorkerState::EnsureReservation(ExecContext* ctx) {
   // recombines exactly. Freeing nothing when the total spillable state
   // is itself below the floor makes GrowOrSpill force-admit it.
   const auto spill_some = [this, ctx]() -> Result<int64_t> {
+    // Chunks are whole partitions, so an unsplit worker splits first.
+    X100_RETURN_IF_ERROR(Split());
     int64_t spillable = 0;
     for (const auto& t : tables_) {
       if (t->num_groups() > 0) {
@@ -450,6 +831,103 @@ void AggWorkerState::ForceChargeTables() {
   reserv_.ForceGrowTo(b);
 }
 
+void AggWorkerState::Update(GroupTable* t, int n, const sel_t* sel,
+                            const uint32_t* gid) {
+  agg::Slots acc[agg::kMaxFused];
+  const void* cols[agg::kMaxFused];
+  for (const UpdateStep& st : steps_) {
+    const int k = static_cast<int>(st.members.size());
+    bool nulls = false;
+    for (int m = 0; m < k; m++) {
+      const Vector* v = agg_vecs_[st.members[m]];
+      cols[m] = v->RawData();
+      acc[m] = t->accum(st.members[m]).slots();
+      nulls |= v->has_nulls();
+    }
+    if (!nulls) {
+      st.fused(n, sel, gid, cols, nullptr, acc);
+      continue;
+    }
+    // A member with NULLs runs alone with the NULL-skipping kernel.
+    for (int m = 0; m < k; m++) {
+      const Vector* v = agg_vecs_[st.members[m]];
+      if (!v->has_nulls()) {
+        st.single[m](n, sel, gid, &cols[m], nullptr, &acc[m]);
+        continue;
+      }
+      t->EnsureNullCounts(st.members[m]);
+      const agg::Slots slots = t->accum(st.members[m]).slots();
+      st.with_nulls[m](n, sel, gid, &cols[m], v->nulls(), &slots);
+    }
+  }
+  agg::CountRows(n, gid, t->rows(), t->num_groups());
+}
+
+Status AggWorkerState::ConsumeBatch(Batch* in,
+                                    const std::vector<AggItem>& aggs) {
+  const int n = in->ActiveRows();
+  const sel_t* sel = in->sel();
+  key_vecs_.clear();
+  for (auto& prog : key_progs_) {
+    const Vector* v;
+    X100_ASSIGN_OR_RETURN(v, prog->Eval(*in));
+    key_vecs_.push_back(v);
+  }
+  for (size_t a = 0; a < aggs.size(); a++) {
+    if (agg_progs_[a] == nullptr) continue;
+    X100_ASSIGN_OR_RETURN(agg_vecs_[a], agg_progs_[a]->Eval(*in));
+  }
+  if (key_vecs_.empty()) {
+    Update(tables_[0].get(), n, sel, nullptr);
+    return Status::OK();
+  }
+  if (tables_.size() == 1) {
+    GroupTable* t = tables_[0].get();
+    bool direct;
+    X100_ASSIGN_OR_RETURN(direct, t->DirectLookup(key_vecs_, n, sel,
+                                                  gids_.data()));
+    if (!direct) {
+      HashKeys(key_vecs_, n, sel, hashes_.data(), hash_tmp_.data(), simd_);
+      X100_RETURN_IF_ERROR(
+          t->Lookup(key_vecs_, n, sel, hashes_.data(), gids_.data()));
+    }
+    Update(t, n, sel, gids_.data());
+    return Status::OK();
+  }
+  // Partitioned: a stable counting sort of the rows by the top hash bits
+  // gives every partition its own selection list, hashes and gids; each
+  // partition then runs the same lookup and kernels over its list. Group
+  // ids are partition-local, so each partition merges without ever seeing
+  // another partition's keys.
+  HashKeys(key_vecs_, n, sel, hashes_.data(), hash_tmp_.data(), simd_);
+  const int np = num_partitions();
+  part_start_.assign(np + 1, 0);
+  for (int j = 0; j < n; j++) {
+    parts_[j] = static_cast<uint32_t>(RadixPartitionOf(hashes_[j],
+                                                       radix_bits_));
+    part_start_[parts_[j] + 1]++;
+  }
+  for (int p = 0; p < np; p++) part_start_[p + 1] += part_start_[p];
+  for (int j = 0; j < n; j++) {
+    const int pos = part_start_[parts_[j]]++;
+    part_sel_[pos] = sel ? sel[j] : j;
+    part_hash_[pos] = hashes_[j];
+  }
+  int begin = 0;
+  for (int p = 0; p < np; p++) {
+    const int end = part_start_[p];  // advanced to the partition's end
+    if (end > begin) {
+      GroupTable* t = tables_[p].get();
+      X100_RETURN_IF_ERROR(t->Lookup(key_vecs_, end - begin,
+                                     &part_sel_[begin], &part_hash_[begin],
+                                     &gids_[begin]));
+      Update(t, end - begin, &part_sel_[begin], &gids_[begin]);
+    }
+    begin = end;
+  }
+  return Status::OK();
+}
+
 Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
                                   const std::vector<AggItem>& aggs) {
   if (key_progs_.empty()) tables_[0]->EnsureGlobalGroup();
@@ -458,140 +936,12 @@ Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
     Batch* in;
     X100_ASSIGN_OR_RETURN(in, child->Next());
     if (in == nullptr) break;
-    const int n = in->ActiveRows();
-    const sel_t* sel = in->sel();
-
-    // 1) Evaluate key expressions, hash them, resolve group ids.
-    std::vector<const Vector*> key_vecs;
-    for (auto& prog : key_progs_) {
-      const Vector* v;
-      X100_ASSIGN_OR_RETURN(v, prog->Eval(*in));
-      key_vecs.push_back(v);
+    X100_RETURN_IF_ERROR(ConsumeBatch(in, aggs));
+    // Partition on demand: one table until the groups outgrow what a
+    // single merge task handles cheaply.
+    if (tables_.size() == 1 && tables_[0]->num_groups() > kTinyBuildRows) {
+      X100_RETURN_IF_ERROR(Split());
     }
-    if (key_vecs.empty()) {
-      std::fill(gids_.begin(), gids_.begin() + n, 0u);
-    } else {
-      bool first = true;
-      for (const Vector* v : key_vecs) {
-        hashk::HashColumn(*v, n, sel, hashes_.data(), !first, simd_);
-        first = false;
-      }
-      // Group lookup with a software-prefetch window: all n hashes are
-      // already known, so while resolving row j the bucket head of row
-      // j + kPrefetchDistance is hinted into cache — the dependent loads
-      // of the chain walk overlap instead of serializing on DRAM misses.
-      const bool prefetch = simd_ != SimdLevel::kScalar;
-      if (prefetch) {
-        const int w = n < kPrefetchDistance ? n : kPrefetchDistance;
-        for (int j = 0; j < w; j++) {
-          tables_[RadixPartitionOf(hashes_[j], radix_bits_)]->PrefetchBucket(
-              hashes_[j]);
-        }
-      }
-      for (int j = 0; j < n; j++) {
-        if (prefetch && j + kPrefetchDistance < n) {
-          const uint64_t ph = hashes_[j + kPrefetchDistance];
-          tables_[RadixPartitionOf(ph, radix_bits_)]->PrefetchBucket(ph);
-        }
-        const int i = sel ? sel[j] : j;
-        // Route to the radix partition named by the top hash bits: group
-        // ids are partition-local, so each partition merges without ever
-        // seeing another partition's keys.
-        const uint32_t p = static_cast<uint32_t>(
-            RadixPartitionOf(hashes_[j], radix_bits_));
-        parts_[j] = p;
-        uint32_t gid;
-        X100_ASSIGN_OR_RETURN(
-            gid, tables_[p]->FindOrAdd(key_vecs, i, hashes_[j]));
-        gids_[j] = gid;
-      }
-    }
-
-    // 2) Fold each aggregate's input vector into the accumulators. With
-    // radix partitioning the row's accumulator set lives in its
-    // partition's table (parts_[j]); unpartitioned runs keep the single
-    // hoisted accumulator.
-    // The unpartitioned case (acc0 below) runs the aggr_* update kernels
-    // (primitives/agg_kernels.h): keyless vectors take the SIMD fast
-    // paths, grouped ones the shared scalar loop. The radix-partitioned
-    // case keeps the inline loop — each row's accumulator set lives in a
-    // different partition table, which no flat kernel signature covers.
-    const uint32_t* gid0 = key_progs_.empty() ? nullptr : gids_.data();
-    for (size_t a = 0; a < aggs.size(); a++) {
-      GroupTable::Accum* acc0 =
-          radix_bits_ == 0 ? &tables_[0]->accum(a) : nullptr;
-      const AggItem& item = aggs[a];
-      if (item.input == nullptr) {  // COUNT(*)
-        if (acc0 != nullptr) {
-          agg::UpdateCountStar(n, gid0, acc0->count.data());
-        } else {
-          for (int j = 0; j < n; j++) {
-            tables_[parts_[j]]->accum(a).count[gids_[j]]++;
-          }
-        }
-        continue;
-      }
-      const Vector* v;
-      X100_ASSIGN_OR_RETURN(v, agg_progs_[a]->Eval(*in));
-      const uint8_t* nulls = v->has_nulls() ? v->nulls() : nullptr;
-      if (acc0 != nullptr) {
-        agg::UpdateAccum(item.kind, acc0->in_type, n, sel, gid0, nulls,
-                         v->RawData(), acc0->i64.data(), acc0->f64.data(),
-                         acc0->count.data(), simd_);
-        continue;
-      }
-      for (int j = 0; j < n; j++) {
-        const int i = sel ? sel[j] : j;
-        if (nulls != nullptr && nulls[i]) continue;
-        GroupTable::Accum& acc = tables_[parts_[j]]->accum(a);
-        const uint32_t g = gids_[j];
-        double dv = 0;
-        int64_t iv = 0;
-        if (acc.in_type == TypeId::kF64) {
-          dv = v->Data<double>()[i];
-        } else if (acc.in_type == TypeId::kI64) {
-          iv = v->Data<int64_t>()[i];
-        } else if (acc.in_type == TypeId::kI16) {
-          iv = v->Data<int16_t>()[i];
-        } else if (acc.in_type == TypeId::kI8 ||
-                   acc.in_type == TypeId::kBool) {
-          iv = v->Data<int8_t>()[i];
-        } else {
-          iv = v->Data<int32_t>()[i];
-        }
-        switch (item.kind) {
-          case AggKind::kCount:
-            break;
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            if (acc.in_type == TypeId::kF64) {
-              acc.f64[g] += dv;
-            } else {
-              acc.i64[g] += iv;
-              acc.f64[g] += static_cast<double>(iv);
-            }
-            break;
-          case AggKind::kMin:
-            if (acc.count[g] == 0 ||
-                (acc.in_type == TypeId::kF64 ? dv < acc.f64[g]
-                                             : iv < acc.i64[g])) {
-              acc.f64[g] = dv;
-              acc.i64[g] = iv;
-            }
-            break;
-          case AggKind::kMax:
-            if (acc.count[g] == 0 ||
-                (acc.in_type == TypeId::kF64 ? dv > acc.f64[g]
-                                             : iv > acc.i64[g])) {
-              acc.f64[g] = dv;
-              acc.i64[g] = iv;
-            }
-            break;
-        }
-        acc.count[g]++;
-      }
-    }
-
     // Memory governance, checked once per batch (group ids stay valid
     // within the batch; a spill swaps tables only between batches).
     X100_RETURN_IF_ERROR(EnsureReservation(ctx));
@@ -613,6 +963,7 @@ Result<Batch*> EmitGroupBatch(GroupTable* t,
   out->Reset();
   const int n = static_cast<int>(
       std::min<int64_t>(vector_size, t->num_groups() - *emit_pos));
+  const int64_t* rows = t->rows();
   for (int j = 0; j < n; j++) {
     const int64_t g = *emit_pos + j;
     for (int k = 0; k < nkeys; k++) {
@@ -620,50 +971,47 @@ Result<Batch*> EmitGroupBatch(GroupTable* t,
     }
     for (size_t a = 0; a < aggs.size(); a++) {
       Vector* dst = out->column(nkeys + static_cast<int>(a));
-      const GroupTable::Accum& acc = t->accum(a);
-      const AggItem& item = aggs[a];
-      if (item.kind == AggKind::kCount) {
-        dst->Data<int64_t>()[j] = acc.count[g];
+      const agg::Slots acc = t->accum(a).slots();
+      const uint32_t ug = static_cast<uint32_t>(g);
+      const int64_t nonnull =
+          rows[g] - (acc.nulls != nullptr ? acc.nulls[g] : 0);
+      const AggKind kind = aggs[a].kind;
+      if (kind == AggKind::kCount) {
+        dst->Data<int64_t>()[j] = nonnull;
         continue;
       }
-      if (acc.count[g] == 0) {
+      if (nonnull == 0) {
         dst->SetNull(j);  // SQL: aggregate over no (non-NULL) inputs
         continue;
       }
-      switch (item.kind) {
-        case AggKind::kSum:
-          if (dst->type() == TypeId::kF64) {
-            dst->Data<double>()[j] = acc.f64[g];
+      switch (dst->type()) {
+        case TypeId::kF64:
+          dst->Data<double>()[j] =
+              kind == AggKind::kAvg
+                  ? acc.f64[g] / static_cast<double>(nonnull)
+                  : acc.f64[g];
+          break;
+        case TypeId::kI64:
+          if (kind == AggKind::kSum) {
+            X100_RETURN_IF_ERROR(
+                agg::CheckedSum(acc, ug, &dst->Data<int64_t>()[j]));
           } else {
             dst->Data<int64_t>()[j] = acc.i64[g];
           }
           break;
-        case AggKind::kAvg:
-          dst->Data<double>()[j] =
-              acc.f64[g] / static_cast<double>(acc.count[g]);
+        case TypeId::kI32:
+        case TypeId::kDate:
+          dst->Data<int32_t>()[j] = static_cast<int32_t>(acc.i64[g]);
           break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          switch (dst->type()) {
-            case TypeId::kF64: dst->Data<double>()[j] = acc.f64[g]; break;
-            case TypeId::kI64: dst->Data<int64_t>()[j] = acc.i64[g]; break;
-            case TypeId::kI32:
-            case TypeId::kDate:
-              dst->Data<int32_t>()[j] = static_cast<int32_t>(acc.i64[g]);
-              break;
-            case TypeId::kI16:
-              dst->Data<int16_t>()[j] = static_cast<int16_t>(acc.i64[g]);
-              break;
-            case TypeId::kI8:
-            case TypeId::kBool:
-              dst->Data<int8_t>()[j] = static_cast<int8_t>(acc.i64[g]);
-              break;
-            default:
-              return Status::Internal("unexpected min/max type");
-          }
+        case TypeId::kI16:
+          dst->Data<int16_t>()[j] = static_cast<int16_t>(acc.i64[g]);
           break;
-        case AggKind::kCount:
+        case TypeId::kI8:
+        case TypeId::kBool:
+          dst->Data<int8_t>()[j] = static_cast<int8_t>(acc.i64[g]);
           break;
+        default:
+          return Status::Internal("unexpected aggregate output type");
       }
       if (dst->has_nulls()) dst->MutableNulls()[j] = 0;
     }
@@ -754,11 +1102,6 @@ Status ParallelHashAggOp::OpenImpl(ExecContext* ctx) {
   X100_RETURN_IF_ERROR(init_status_);
   // Worker chains are NOT opened here: each is opened, drained and closed
   // by its pipeline task so the whole chain runs on one pool thread.
-  final_.clear();
-  for (int p = 0; p < (1 << radix_bits_); p++) {
-    final_.push_back(std::make_unique<GroupTable>(
-        binding_.key_schema, binding_.kinds, binding_.in_types));
-  }
   out_ = std::make_unique<Batch>(binding_.out_schema, ctx->vector_size);
   return Status::OK();
 }
@@ -776,7 +1119,6 @@ Status ParallelHashAggOp::ParallelConsume() {
   TaskScheduler* sched =
       ctx_->scheduler != nullptr ? ctx_->scheduler : TaskScheduler::Global();
   const int W = static_cast<int>(chains_.size());
-  const int P = 1 << radix_bits_;
   workers_.clear();
   for (int w = 0; w < W; w++) {
     auto ws = std::make_unique<AggWorkerState>();
@@ -804,11 +1146,23 @@ Status ParallelHashAggOp::ParallelConsume() {
 
   // Merge fan-out: one scheduler task per radix partition folds that
   // partition's per-worker tables into the final table — partitions hold
-  // disjoint key sets, so the tasks share nothing and the old serial
-  // barrier merge parallelizes. Each task records an "AggMerge" profile
-  // entry (rows = merged groups) so merge cost and partition skew are
-  // visible. A keyless aggregation still emits its single global row on
-  // empty input.
+  // disjoint key sets, so the tasks share nothing. Partitioning is on
+  // demand: when no worker outgrew one table, the merge is one table and
+  // one task; otherwise every worker is split alike first. Each task
+  // records an "AggMerge" profile entry (rows = merged groups) so merge
+  // cost and partition skew are visible. A keyless aggregation still
+  // emits its single global row on empty input.
+  bool any_split = false;
+  for (const auto& ws : workers_) any_split |= ws->num_partitions() > 1;
+  const int P = any_split ? 1 << radix_bits_ : 1;
+  if (any_split) {
+    for (auto& ws : workers_) X100_RETURN_IF_ERROR(ws->Split());
+  }
+  final_.clear();
+  for (int p = 0; p < P; p++) {
+    final_.push_back(std::make_unique<GroupTable>(
+        binding_.key_schema, binding_.kinds, binding_.in_types));
+  }
   if (binding_.bound_keys.empty()) final_[0]->EnsureGlobalGroup();
   final_mem_.clear();
   final_mem_.resize(P);

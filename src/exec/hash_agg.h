@@ -1,28 +1,36 @@
 // Hash group-by aggregation — serial and pipeline-parallel.
 //
 // The machinery is split so the pipeline executor can reuse it:
-//  * GroupTable      — open-addressed group store (key rows + accumulator
-//                      arrays) with an aggregate-aware MergeFrom, the
-//                      barrier operation of parallel aggregation.
+//  * GroupTable      — group store (key rows + chained hash index + one
+//                      accumulator set per aggregate) with a vectorized
+//                      lookup, a direct map for small-domain keys, and an
+//                      aggregate-aware MergeFrom (the barrier operation of
+//                      parallel aggregation).
 //  * AggWorkerState  — one worker chain's thread-local state: compiled
-//                      key/aggregate programs + a private GroupTable.
+//                      key/aggregate programs, the resolved update
+//                      kernels and private GroupTables.
 //  * HashAggOp       — the serial operator (one worker over one child).
 //  * ParallelHashAggOp — N cloned source chains drained by scheduler
 //                      tasks into per-worker GroupTables, merged at the
 //                      pipeline barrier (Leis-style morsel parallelism:
 //                      no partial/final plan rewrite, no exchange).
-//                      With radix_bits > 0 each worker keeps one
-//                      GroupTable per radix partition (routed by the top
-//                      bits of the key hash), and the barrier merge runs
-//                      as 2^radix_bits independent scheduler tasks — one
-//                      per partition — instead of one serial fold.
 //
-// Group ids are resolved for a whole vector, then aggregate update kernels
-// fold the vector into accumulator arrays (the X100 aggr_* primitive
-// pattern).
+// Per vector, every step is one primitive over the whole vector (the X100
+// pattern): evaluate and hash the keys, resolve group ids (direct map, or
+// candidate gids → one typed compare per key column → fix-up of misses
+// and inserts), count rows per group, then one typed update kernel per
+// (kind, type) of aggregate (primitives/agg_kernels.h).
+//
+// Radix partitions on demand: a worker starts with one table and splits
+// it into 2^radix_bits partition tables (routed by the top bits of the key
+// hash) only once it holds more than kTinyBuildRows groups, or when it
+// must spill. The barrier merges 2^radix_bits independent partitions when
+// any worker split, and one table in one task otherwise — a query with a
+// handful of groups never pays for partitioning.
 #ifndef X100_EXEC_HASH_AGG_H_
 #define X100_EXEC_HASH_AGG_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,7 +41,6 @@
 #include "exec/row_buffer.h"
 #include "exec/select_project.h"
 #include "primitives/agg_kernels.h"
-#include "simd/prefetch.h"
 #include "storage/spill_file.h"
 
 namespace x100 {
@@ -45,56 +52,86 @@ struct AggItem {
   std::string name;
 };
 
-/// Group store: key rows + open-addressed index + one accumulator set per
-/// aggregate. Single-writer; parallel aggregation gives each worker its
-/// own table and merges them at the barrier.
+/// Group store: key rows + chained hash index + per-group row counts +
+/// one accumulator set per aggregate. Single-writer; parallel aggregation
+/// gives each worker its own table and merges them at the barrier.
 class GroupTable {
  public:
-  /// Accumulators for one aggregate: i64/f64 running values plus the
-  /// per-group count of non-NULL inputs folded so far.
+  /// One aggregate's accumulator arrays; only those agg::LayoutOf names
+  /// for its (kind, input type) are kept.
   struct Accum {
     std::vector<int64_t> i64;
     std::vector<double> f64;
-    std::vector<int64_t> count;
-    TypeId in_type = TypeId::kI64;
+    std::vector<int64_t> wraps;
+    /// NULL inputs per group, kept from the aggregate's first NULL input
+    /// on (`counts_nulls`); until then every folded row was non-NULL.
+    std::vector<int64_t> nulls;
+    bool counts_nulls = false;
+
+    agg::Slots slots() {
+      return {i64.empty() ? nullptr : i64.data(),
+              f64.empty() ? nullptr : f64.data(),
+              wraps.empty() ? nullptr : wraps.data(),
+              counts_nulls ? nulls.data() : nullptr};
+    }
   };
 
   /// `kinds`/`in_types`: one entry per aggregate (merge semantics).
   GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
              std::vector<TypeId> in_types);
 
-  /// Resolves the group id for key values (`key_vecs`, row `row`, with
-  /// precomputed `hash`), appending a new group if unseen.
-  Result<uint32_t> FindOrAdd(const std::vector<const Vector*>& key_vecs,
-                             int row, uint64_t hash);
+  /// Vectorized group lookup: gids[j] for the key row sel ? sel[j] : j
+  /// with precomputed hashes[j]. Candidate gids come from the bucket
+  /// heads, one typed compare per key column confirms them, mismatches
+  /// follow the chain, and a final in-order fix-up inserts new groups (so
+  /// gids are assigned in first-occurrence order).
+  Status Lookup(const std::vector<const Vector*>& keys, int n,
+                const sel_t* sel, const uint64_t* hashes, uint32_t* gids);
 
-  /// Hints the bucket head for `hash` into cache. The whole vector's
-  /// hashes are known before the FindOrAdd loop runs, so the lookup for
-  /// row j can overlap the memory latency of row j + kPrefetchDistance.
-  void PrefetchBucket(uint64_t hash) const {
-    if (!buckets_.empty()) PrefetchRead(&buckets_[hash & bucket_mask_]);
-  }
+  /// Direct-mapped lookup for small-domain keys: when every live key of
+  /// the vector is a byte-sized code (bool/i8, an integer in [0, 256), a
+  /// string of at most one byte, or NULL), gids come from a dense map
+  /// indexed by the combined codes, without hashing. Returns false (gids
+  /// untouched) when the vector does not fit; the caller then takes
+  /// Lookup. Misses insert through the hash index, so both paths always
+  /// agree on a key's group.
+  Result<bool> DirectLookup(const std::vector<const Vector*>& keys, int n,
+                            const sel_t* sel, uint32_t* gids);
 
   /// Materializes the single group of a keyless aggregation so an empty
   /// input still yields one output row.
   void EnsureGlobalGroup();
 
   /// The parallel-aggregation barrier: folds every group of `src` into
-  /// this table, combining accumulators by aggregate kind (SUM/COUNT/AVG
-  /// add, MIN/MAX compare). `src` must share this table's construction.
+  /// this table, combining accumulators by aggregate kind (agg::Combine).
+  /// `src` must share this table's construction.
   Status MergeFrom(const GroupTable& src);
+
+  /// Moves every group into one of 2^bits fresh tables by the top `bits`
+  /// of its key hash (RadixPartitionOf), keeping group order and copying
+  /// accumulators bit for bit.
+  Result<std::vector<std::unique_ptr<GroupTable>>> SplitByRadix(
+      int bits) const;
+
+  /// Starts counting NULL inputs of aggregate `a` (all groups so far: 0).
+  void EnsureNullCounts(size_t a);
 
   int64_t num_groups() const { return keys_->rows(); }
   const RowBuffer& keys() const { return *keys_; }
+  /// Rows folded per group: COUNT(*), and the base of every non-NULL count.
+  int64_t* rows() { return rows_.data(); }
+  const int64_t* rows() const { return rows_.data(); }
   Accum& accum(size_t a) { return accums_[a]; }
   const Accum& accum(size_t a) const { return accums_[a]; }
+  const agg::Layout& layout(size_t a) const { return layouts_[a]; }
 
   /// Footprint for memory accounting: key rows, index, accumulators.
   size_t MemoryBytes() const;
 
-  /// Spill serialization: key rows + hashes + accumulator arrays (the
-  /// index is rebuilt on reload). kinds/in_types are NOT serialized —
-  /// the reloader constructs the table and merges it back via MergeFrom.
+  /// Spill serialization: key rows + hashes + row counts + accumulator
+  /// arrays (the index is rebuilt on reload). kinds/in_types are NOT
+  /// serialized — the reloader constructs the table and merges it back
+  /// via MergeFrom.
   void SerializeTo(std::vector<uint8_t>* out) const;
   static Result<std::unique_ptr<GroupTable>> Deserialize(
       const Schema& key_schema, std::vector<AggKind> kinds,
@@ -104,26 +141,59 @@ class GroupTable {
   /// Appends a group row (already added to keys_) to the index +
   /// accumulators; rehashes at ~0.7 load factor.
   Result<uint32_t> FinishNewGroup(uint64_t hash);
+  /// Scalar chain walk for one key row; inserts when absent.
+  Result<uint32_t> FindOrAddRow(const std::vector<const Vector*>& keys,
+                                int row, uint64_t hash);
+  void RebuildIndex();
 
   std::vector<AggKind> kinds_;
+  std::vector<TypeId> in_types_;
+  std::vector<agg::Layout> layouts_;
   std::unique_ptr<RowBuffer> keys_;
   std::vector<int64_t> buckets_;
   std::vector<int64_t> chain_;
   std::vector<uint64_t> key_hashes_;
+  std::vector<int64_t> rows_;
   uint64_t bucket_mask_ = 0;
   std::vector<Accum> accums_;
+
+  // Lookup scratch (candidate gid, pending row, match flag per row).
+  std::vector<int64_t> cand_;
+  std::vector<int32_t> todo_;
+  std::vector<uint8_t> match_;
+  std::vector<uint8_t> miss_;
+
+  // Direct map. Each key column maps its byte code (0..255, 256 = empty
+  // string, 257 = NULL) to a dense local code in first-seen order, packed
+  // into `bits` bits; the concatenated codes index dm_map_ (gid, or -1
+  // when not yet seen). A column that outgrows its bits re-packs the
+  // map; past kDirectMapBits in total the map is switched off.
+  static constexpr int kDirectCodes = 258;
+  static constexpr int kDirectMapBits = 16;
+  static constexpr uint32_t kDirectUnseen = 1u << 31;
+  struct DirectColumn {
+    std::array<int16_t, kDirectCodes> local;
+    /// local code << the column's shift, or kDirectUnseen.
+    std::array<uint32_t, kDirectCodes> shifted;
+    int distinct = 0;
+    int bits = 0;
+  };
+  std::vector<DirectColumn> dm_cols_;
+  std::vector<int32_t> dm_map_;
+  bool dm_off_ = false;
+  std::vector<uint32_t> dm_comb_;  // scratch: combined code per row
 };
 
 /// One aggregation worker: a source chain plus the thread-local state that
-/// drains it (compiled programs, scratch, private GroupTables — one per
-/// radix partition). Used by both the serial operator (one worker, one
-/// partition) and the parallel one (N workers, each driven by a scheduler
-/// task, with 2^radix_bits partitions merged independently).
+/// drains it (compiled programs, resolved kernels, scratch, private
+/// GroupTables). Used by both the serial operator (one worker, never
+/// partitioned) and the parallel one (N workers, each driven by a
+/// scheduler task, partitioned on demand).
 class AggWorkerState {
  public:
-  /// Compiles programs and allocates the private tables. `radix_bits` is
-  /// forced to 0 for keyless aggregation (a single global group cannot
-  /// be partitioned).
+  /// Compiles programs, resolves the update kernels and allocates the
+  /// private table. `radix_bits` is forced to 0 for keyless aggregation
+  /// (a single global group cannot be partitioned).
   Status Prepare(const std::vector<ExprPtr>& bound_keys,
                  const std::vector<ExprPtr>& bound_aggs,
                  const Schema& key_schema,
@@ -133,17 +203,22 @@ class AggWorkerState {
                  SimdLevel simd = SimdLevel::kScalar);
 
   /// Drains `child` (already open) to exhaustion into the private
-  /// tables, routing each row to the partition named by the top
-  /// radix_bits of its key hash.
+  /// tables, splitting into 2^radix_bits partitions once the groups
+  /// outgrow kTinyBuildRows.
   Status ConsumeAll(Operator* child, ExecContext* ctx,
                     const std::vector<AggItem>& aggs);
+
+  /// Splits the single table into 2^radix_bits partition tables (no-op
+  /// when already split or radix_bits is 0).
+  Status Split();
 
   GroupTable* table(int partition = 0) const {
     return partition < static_cast<int>(tables_.size())
                ? tables_[partition].get()
                : nullptr;
   }
-  int num_partitions() const { return 1 << radix_bits_; }
+  /// 1 until the worker splits, then 2^radix_bits.
+  int num_partitions() const { return static_cast<int>(tables_.size()); }
 
   /// Reloads every chunk this worker spilled for `partition` and folds it
   /// into `dst` via MergeFrom — the merge-on-reload half of out-of-core
@@ -166,20 +241,45 @@ class AggWorkerState {
 
  private:
   /// Grows the reservation to the tables' footprint; on failure spills
-  /// the largest partition table (whole-partition chunks) or surfaces
-  /// kResourceExhausted when ctx has no spill device.
+  /// the largest partition table (whole-partition chunks; an unsplit
+  /// worker splits first) or surfaces kResourceExhausted when ctx has no
+  /// spill device.
   Status EnsureReservation(ExecContext* ctx);
+
+  /// Resolves group ids for the vector's live rows and folds them into
+  /// the tables (per partition once split).
+  Status ConsumeBatch(Batch* in, const std::vector<AggItem>& aggs);
+  /// Runs every update step over n rows (sel/gid as in agg::UpdateFn)
+  /// into table `t`.
+  void Update(GroupTable* t, int n, const sel_t* sel, const uint32_t* gid);
+
+  /// Same-(kind, type) aggregates folded by one fused kernel.
+  struct UpdateStep {
+    std::vector<int> members;   // aggregate indices, at most kMaxFused
+    agg::UpdateFn fused = nullptr;
+    std::vector<agg::UpdateFn> single;     // per member, no NULLs
+    std::vector<agg::UpdateFn> with_nulls;  // per member, NULL-skipping
+  };
 
   std::vector<std::unique_ptr<ExprProgram>> key_progs_;
   std::vector<std::unique_ptr<ExprProgram>> agg_progs_;  // null: COUNT(*)
+  std::vector<UpdateStep> steps_;
   int radix_bits_ = 0;
-  /// Resolved dispatch level: picks hash/agg kernel variants and gates
-  /// the group-lookup prefetch window (kScalar = reference behavior).
+  /// Resolved dispatch level: picks hash/agg kernel variants
+  /// (kScalar = reference behavior).
   SimdLevel simd_ = SimdLevel::kScalar;
   std::vector<std::unique_ptr<GroupTable>> tables_;  // one per partition
+
+  // Per-vector scratch.
+  std::vector<const Vector*> key_vecs_;
+  std::vector<const Vector*> agg_vecs_;
   std::vector<uint32_t> gids_;
-  std::vector<uint32_t> parts_;  // partition per live row (radix_bits > 0)
   std::vector<uint64_t> hashes_;
+  std::vector<uint64_t> hash_tmp_;
+  std::vector<uint32_t> parts_;
+  std::vector<int> part_start_;
+  std::vector<sel_t> part_sel_;
+  std::vector<uint64_t> part_hash_;
 
   // Spill construction state (what a fresh table needs) + results.
   Schema key_schema_;
@@ -244,10 +344,11 @@ class HashAggOp : public Operator {
 /// Pipeline-parallel aggregation: the sink of a scan→[probe→]aggregate
 /// pipeline. Each of the N cloned source chains (sharing morsel sources
 /// and join build states underneath) is drained by a scheduler task into
-/// per-worker GroupTables (one per radix partition); at the TaskGroup
-/// barrier each partition is merged by an independent scheduler task
-/// (radix_bits = 0: one table, one merge task — the serial fallback),
-/// then groups stream out partition by partition.
+/// a per-worker GroupTable, split into 2^radix_bits partitions once the
+/// worker's groups outgrow kTinyBuildRows. At the TaskGroup barrier each
+/// partition is merged by an independent scheduler task — one table and
+/// one merge task when no worker split — then groups stream out
+/// partition by partition.
 class ParallelHashAggOp : public Operator {
  public:
   ParallelHashAggOp(std::vector<OperatorPtr> chains,

@@ -89,12 +89,26 @@ Result<AlgebraPtr> CrossCompiler::Compile(const RelPtr& plan) {
   while ((*scan)->kind != AlgebraNode::Kind::kScan) {
     scan = &(*scan)->children[0];
   }
-  if (!referenced.empty() && resolver_ != nullptr) {
+  if (resolver_ != nullptr) {
     Schema schema;
     X100_ASSIGN_OR_RETURN(schema, resolver_((*rel)->relation));
     std::vector<std::string> cols;
     for (const Field& f : schema.fields()) {
       if (referenced.count(f.name)) cols.push_back(f.name);
+    }
+    // A plan that references no column (SELECT COUNT(*) FROM t) still
+    // needs one to count rows: scan the narrowest fixed-width column
+    // rather than every column of the table.
+    if (referenced.empty() && schema.num_fields() > 0) {
+      int best = 0;
+      const auto width = [&](int c) {
+        const TypeId t = schema.field(c).type;
+        return t == TypeId::kStr ? INT32_MAX : TypeWidth(t);
+      };
+      for (int c = 1; c < schema.num_fields(); c++) {
+        if (width(c) < width(best)) best = c;
+      }
+      cols.push_back(schema.field(best).name);
     }
     if (!cols.empty()) (*scan)->scan_columns = std::move(cols);
   }

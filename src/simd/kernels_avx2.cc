@@ -807,89 +807,90 @@ int64_t CountNonNull(int n, const uint8_t* nulls) {
   return c;
 }
 
-void SumI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
-                   int64_t* sum, int64_t* count) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t cnt = 0;
-  int i = 0;
-  if (nulls == nullptr) {
-    for (; i + 4 <= n; i += 4) {
-      acc = _mm256_add_epi64(
-          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-    }
-    cnt = i;
-  } else {
-    for (; i + 4 <= n; i += 4) {
-      uint32_t nb;
-      std::memcpy(&nb, nulls + i, 4);
-      // NULL slots are not guaranteed to hold safe values after a map
-      // kernel ran over them — mask the lanes, don't trust the data.
-      const __m256i nl = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(
-          static_cast<int>(nb)));
-      const __m256i keep = _mm256_cmpeq_epi64(nl, _mm256_setzero_si256());
-      const __m256i val = _mm256_and_si256(
-          keep, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-      acc = _mm256_add_epi64(acc, val);
-      cnt += __builtin_popcount(static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(keep))));
-    }
-  }
+namespace {
+
+/// Lane-wise exact add: acc += val with each lane's signed 2^64
+/// wrap-around counted into wraps (+1 past INT64_MAX, -1 past INT64_MIN).
+inline void AddLanesCounted(__m256i val, __m256i* acc, __m256i* wraps) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i s = _mm256_add_epi64(*acc, val);
+  // Signed overflow iff both operands differ in sign from the result.
+  const __m256i ovf = _mm256_cmpgt_epi64(
+      zero, _mm256_and_si256(_mm256_xor_si256(*acc, s),
+                             _mm256_xor_si256(val, s)));
+  const __m256i dir =
+      _mm256_or_si256(_mm256_cmpgt_epi64(zero, val), _mm256_set1_epi64x(1));
+  *wraps = _mm256_add_epi64(*wraps, _mm256_and_si256(ovf, dir));
+  *acc = s;
+}
+
+inline void AddCountedScalar(int64_t* s, int64_t* w, int64_t v) {
+  int64_t r;
+  const bool o = __builtin_add_overflow(*s, v, &r);
+  *s = r;
+  *w += o ? (v < 0 ? -1 : 1) : 0;
+}
+
+/// Folds the four lane pairs into (*sum, *wraps) exactly.
+inline void FoldLanesCounted(__m256i acc, __m256i wraps, int64_t* sum,
+                             int64_t* w) {
   alignas(32) int64_t lanes[4];
+  alignas(32) int64_t lane_wraps[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  // Wrapping lane fold: identical to the scalar wrap-add accumulation.
-  uint64_t s = static_cast<uint64_t>(lanes[0]) +
-               static_cast<uint64_t>(lanes[1]) +
-               static_cast<uint64_t>(lanes[2]) +
-               static_cast<uint64_t>(lanes[3]);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_wraps), wraps);
+  for (int l = 0; l < 4; l++) {
+    AddCountedScalar(sum, w, lanes[l]);
+    *w += lane_wraps[l];
+  }
+}
+
+/// 4 NULL bytes at nulls + i widened to a 64-bit keep-lane mask.
+inline __m256i KeepMask4(const uint8_t* nulls, int i) {
+  uint32_t nb;
+  std::memcpy(&nb, nulls + i, 4);
+  // NULL slots are not guaranteed to hold safe values after a map kernel
+  // ran over them — mask the lanes, don't trust the data.
+  const __m256i nl =
+      _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(nb)));
+  return _mm256_cmpeq_epi64(nl, _mm256_setzero_si256());
+}
+
+}  // namespace
+
+void SumI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
+                   int64_t* sum, int64_t* wraps) {
+  __m256i acc = _mm256_setzero_si256();
+  __m256i lane_wraps = _mm256_setzero_si256();
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i val = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
+    if (nulls != nullptr) val = _mm256_and_si256(KeepMask4(nulls, i), val);
+    AddLanesCounted(val, &acc, &lane_wraps);
+  }
+  FoldLanesCounted(acc, lane_wraps, sum, wraps);
   for (; i < n; i++) {
     if (nulls != nullptr && nulls[i]) continue;
-    s += static_cast<uint64_t>(v[i]);
-    cnt++;
+    AddCountedScalar(sum, wraps, v[i]);
   }
-  *sum = static_cast<int64_t>(static_cast<uint64_t>(*sum) + s);
-  *count += cnt;
 }
 
 void SumI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
-                   int64_t* sum, int64_t* count) {
+                   int64_t* sum, int64_t* wraps) {
   __m256i acc = _mm256_setzero_si256();
-  int64_t cnt = 0;
+  __m256i lane_wraps = _mm256_setzero_si256();
   int i = 0;
-  if (nulls == nullptr) {
-    for (; i + 4 <= n; i += 4) {
-      const __m128i lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-      acc = _mm256_add_epi64(acc, _mm256_cvtepi32_epi64(lo));
-    }
-    cnt = i;
-  } else {
-    for (; i + 4 <= n; i += 4) {
-      uint32_t nb;
-      std::memcpy(&nb, nulls + i, 4);
-      const __m256i nl = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(
-          static_cast<int>(nb)));
-      const __m256i keep = _mm256_cmpeq_epi64(nl, _mm256_setzero_si256());
-      const __m128i lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-      acc = _mm256_add_epi64(
-          acc, _mm256_and_si256(keep, _mm256_cvtepi32_epi64(lo)));
-      cnt += __builtin_popcount(static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(keep))));
-    }
+  for (; i + 4 <= n; i += 4) {
+    const __m128i lo =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
+    __m256i val = _mm256_cvtepi32_epi64(lo);
+    if (nulls != nullptr) val = _mm256_and_si256(KeepMask4(nulls, i), val);
+    AddLanesCounted(val, &acc, &lane_wraps);
   }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint64_t s = static_cast<uint64_t>(lanes[0]) +
-               static_cast<uint64_t>(lanes[1]) +
-               static_cast<uint64_t>(lanes[2]) +
-               static_cast<uint64_t>(lanes[3]);
+  FoldLanesCounted(acc, lane_wraps, sum, wraps);
   for (; i < n; i++) {
     if (nulls != nullptr && nulls[i]) continue;
-    s += static_cast<uint64_t>(static_cast<int64_t>(v[i]));
-    cnt++;
+    AddCountedScalar(sum, wraps, v[i]);
   }
-  *sum = static_cast<int64_t>(static_cast<uint64_t>(*sum) + s);
-  *count += cnt;
 }
 
 bool MinMaxI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
@@ -1053,24 +1054,24 @@ int64_t CountNonNull(int n, const uint8_t* nulls) {
   return c;
 }
 void SumI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
-                   int64_t* sum, int64_t* count) {
-  uint64_t s = static_cast<uint64_t>(*sum);
+                   int64_t* sum, int64_t* wraps) {
   for (int i = 0; i < n; i++) {
     if (nulls != nullptr && nulls[i]) continue;
-    s += static_cast<uint64_t>(static_cast<int64_t>(v[i]));
-    (*count)++;
+    int64_t r;
+    const bool o = __builtin_add_overflow(*sum, int64_t{v[i]}, &r);
+    *sum = r;
+    *wraps += o ? (v[i] < 0 ? -1 : 1) : 0;
   }
-  *sum = static_cast<int64_t>(s);
 }
 void SumI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
-                   int64_t* sum, int64_t* count) {
-  uint64_t s = static_cast<uint64_t>(*sum);
+                   int64_t* sum, int64_t* wraps) {
   for (int i = 0; i < n; i++) {
     if (nulls != nullptr && nulls[i]) continue;
-    s += static_cast<uint64_t>(v[i]);
-    (*count)++;
+    int64_t r;
+    const bool o = __builtin_add_overflow(*sum, v[i], &r);
+    *sum = r;
+    *wraps += o ? (v[i] < 0 ? -1 : 1) : 0;
   }
-  *sum = static_cast<int64_t>(s);
 }
 bool MinMaxI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
                       bool is_min, int32_t* best, int64_t* count) {

@@ -73,13 +73,14 @@ void HashI64Dense(int n, const int64_t* v, uint64_t* hashes, bool combine);
 void HashF64Dense(int n, const double* v, uint64_t* hashes, bool combine);
 
 /// Keyless (single-group) aggregate folds over a dense vector. `nulls`
-/// may be nullptr. Sum adds into *sum (two's-complement wrap, matching
-/// the scalar accumulate) and bumps *count per non-NULL row; MinMax
-/// returns false when every row was NULL (best untouched).
+/// may be nullptr. Sum adds the non-NULL rows into the exact pair
+/// (*sum, *wraps) — *sum wraps in two's complement and *wraps counts the
+/// signed 2^64 wrap-arounds, so the pair is independent of lane order;
+/// MinMax returns false when every row was NULL (best untouched).
 void SumI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
-                   int64_t* sum, int64_t* count);
+                   int64_t* sum, int64_t* wraps);
 void SumI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
-                   int64_t* sum, int64_t* count);
+                   int64_t* sum, int64_t* wraps);
 bool MinMaxI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
                       bool is_min, int32_t* best, int64_t* count);
 bool MinMaxI64Keyless(int n, const int64_t* v, const uint8_t* nulls,

@@ -190,6 +190,25 @@ TEST(CrossCompilerTest, PrunesScanColumns) {
   EXPECT_EQ(scan->scan_columns.size(), 3u);  // a, b, c — not "unused"
 }
 
+TEST(CrossCompilerTest, CountStarScansOneNarrowColumn) {
+  // A plan that references no column keeps only the narrowest fixed-width
+  // one: SELECT COUNT(*) must not read the wide string columns.
+  auto rel = ParseSql("SELECT COUNT(*) AS n FROM t");
+  ASSERT_TRUE(rel.ok());
+  Schema schema({Field("comment", TypeId::kStr), Field("k", TypeId::kI64),
+                 Field("d", TypeId::kDate), Field("flag", TypeId::kI8)});
+  CrossCompiler cc([&](const std::string&) -> Result<Schema> {
+    return schema;
+  });
+  auto alg = cc.Compile(*rel);
+  ASSERT_TRUE(alg.ok());
+  const AlgebraNode* scan = alg->get();
+  while (scan->kind != AlgebraNode::Kind::kScan) {
+    scan = scan->children[0].get();
+  }
+  EXPECT_EQ(scan->scan_columns, std::vector<std::string>{"flag"});
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end sessions
 // ---------------------------------------------------------------------------
@@ -609,6 +628,25 @@ TEST_F(TpchTest, SqlOverTpch) {
   for (const auto& row : res->rows) total += row[1].AsI64();
   auto li = db_->GetTable("lineitem");
   EXPECT_EQ(total, (*li)->visible_rows());
+}
+
+TEST_F(TpchTest, CountStarDoesNotReadCommentColumn) {
+  const std::string sql = "SELECT COUNT(*) AS n FROM lineitem";
+  auto alg = session_->CompileSql(sql);
+  ASSERT_TRUE(alg.ok()) << alg.status().ToString();
+  const AlgebraNode* scan = alg->get();
+  while (scan->kind != AlgebraNode::Kind::kScan) {
+    scan = scan->children[0].get();
+  }
+  ASSERT_EQ(scan->scan_columns.size(), 1u);
+  EXPECT_NE(scan->scan_columns[0], "l_comment");
+  auto res = session_->ExecuteSql(sql);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  auto li = db_->GetTable("lineitem");
+  EXPECT_EQ(res->rows[0][0].AsI64(), (*li)->visible_rows());
+  // The one scanned column is all the scan produced: the profile counts
+  // every lineitem row once.
+  EXPECT_EQ(res->profile.tuples_scanned, (*li)->visible_rows());
 }
 
 }  // namespace

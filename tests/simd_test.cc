@@ -447,15 +447,38 @@ TEST_F(SimdTest, HashSpecialDoublesMatchScalarReference) {
 
 // ---- aggregate update kernels ----------------------------------------------
 
+/// Accumulator arrays of one aggregate over `groups` groups, laid out and
+/// initialized as agg::LayoutOf says, with NULL counting on.
 struct AggAccum {
-  std::vector<int64_t> i64;
+  AggKind kind;
+  TypeId type;
+  std::vector<int64_t> i64, wraps, nulls;
   std::vector<double> f64;
-  std::vector<int64_t> count;
-  explicit AggAccum(int groups) : i64(groups, 0), f64(groups, 0), count(groups, 0) {}
+  AggAccum(AggKind k, TypeId t, int groups) : kind(k), type(t) {
+    const agg::Layout l = agg::LayoutOf(k, t);
+    if (l.i64) i64.assign(groups, l.i64_init);
+    if (l.f64) f64.assign(groups, l.f64_init);
+    if (l.wraps) wraps.assign(groups, 0);
+    nulls.assign(groups, 0);
+  }
+  agg::Slots slots() {
+    return {i64.empty() ? nullptr : i64.data(),
+            f64.empty() ? nullptr : f64.data(),
+            wraps.empty() ? nullptr : wraps.data(), nulls.data()};
+  }
+  void Fold(int n, const uint32_t* gid, const uint8_t* mask,
+            const void* data, SimdLevel l) {
+    const agg::UpdateFn fn =
+        agg::FindUpdate(kind, type, 1, mask != nullptr, l);
+    const void* cols[1] = {data};
+    const agg::Slots s = slots();
+    fn(n, nullptr, gid, cols, mask, &s);
+  }
   bool BitIdentical(const AggAccum& o) const {
-    return i64 == o.i64 && count == o.count &&
-           std::memcmp(f64.data(), o.f64.data(),
-                       f64.size() * sizeof(double)) == 0;
+    return i64 == o.i64 && wraps == o.wraps && nulls == o.nulls &&
+           f64.size() == o.f64.size() &&
+           (f64.empty() || std::memcmp(f64.data(), o.f64.data(),
+                                       f64.size() * sizeof(double)) == 0);
   }
 };
 
@@ -480,15 +503,11 @@ TEST_F(SimdTest, KeylessAggParity) {
     for (const Input& in : inputs) {
       for (const uint8_t* nulls : masks) {
         for (AggKind kind : kinds) {
-          AggAccum ref(1);
-          agg::UpdateAccum(kind, in.type, n, nullptr, nullptr, nulls, in.data,
-                           ref.i64.data(), ref.f64.data(), ref.count.data(),
-                           SimdLevel::kScalar);
+          AggAccum ref(kind, in.type, 1);
+          ref.Fold(n, nullptr, nulls, in.data, SimdLevel::kScalar);
           for (SimdLevel l : NonScalarLevels()) {
-            AggAccum got(1);
-            agg::UpdateAccum(kind, in.type, n, nullptr, nullptr, nulls,
-                             in.data, got.i64.data(), got.f64.data(),
-                             got.count.data(), l);
+            AggAccum got(kind, in.type, 1);
+            got.Fold(n, nullptr, nulls, in.data, l);
             EXPECT_TRUE(ref.BitIdentical(got))
                 << "kind=" << AggKindName(kind)
                 << " type=" << static_cast<int>(in.type) << " n=" << n
@@ -501,65 +520,121 @@ TEST_F(SimdTest, KeylessAggParity) {
 }
 
 TEST_F(SimdTest, KeylessAggParityIntoWarmAccumulator) {
-  // Vector #2 folds into state left by vector #1 — the min/max adopt rule
-  // and the running sum must match scalar exactly across the boundary.
+  // Vector #2 folds into state left by vector #1 — the min/max identity
+  // and the running sum (with its wrap count) must match scalar exactly
+  // across the boundary.
   const int n = 100;
   auto a = RandomI64(n);
   auto b = RandomI64(n);
   auto mask = RandomBytes01(n);
   for (AggKind kind : {AggKind::kSum, AggKind::kMin, AggKind::kMax}) {
-    AggAccum ref(1);
-    agg::UpdateAccum(kind, TypeId::kI64, n, nullptr, nullptr, mask.data(),
-                     a.data(), ref.i64.data(), ref.f64.data(),
-                     ref.count.data(), SimdLevel::kScalar);
-    agg::UpdateAccum(kind, TypeId::kI64, n, nullptr, nullptr, nullptr,
-                     b.data(), ref.i64.data(), ref.f64.data(),
-                     ref.count.data(), SimdLevel::kScalar);
+    AggAccum ref(kind, TypeId::kI64, 1);
+    ref.Fold(n, nullptr, mask.data(), a.data(), SimdLevel::kScalar);
+    ref.Fold(n, nullptr, nullptr, b.data(), SimdLevel::kScalar);
     for (SimdLevel l : NonScalarLevels()) {
-      AggAccum got(1);
-      agg::UpdateAccum(kind, TypeId::kI64, n, nullptr, nullptr, mask.data(),
-                       a.data(), got.i64.data(), got.f64.data(),
-                       got.count.data(), l);
-      agg::UpdateAccum(kind, TypeId::kI64, n, nullptr, nullptr, nullptr,
-                       b.data(), got.i64.data(), got.f64.data(),
-                       got.count.data(), l);
+      AggAccum got(kind, TypeId::kI64, 1);
+      got.Fold(n, nullptr, mask.data(), a.data(), l);
+      got.Fold(n, nullptr, nullptr, b.data(), l);
       EXPECT_TRUE(ref.BitIdentical(got)) << AggKindName(kind);
     }
   }
 }
 
 TEST_F(SimdTest, GroupedAggMatchesScalarAtEveryLevel) {
-  // The grouped path has no SIMD variant — passing a SIMD level must still
-  // produce identical state (it takes the scalar route internally).
+  // The grouped kernels have no SIMD variant — passing a SIMD level must
+  // still produce identical state (it takes the scalar route internally).
   const int n = 1024, groups = 8;
   auto data = RandomI32(n);
   auto mask = RandomBytes01(n);
   std::vector<uint32_t> gid(n);
   for (int i = 0; i < n; i++) gid[i] = rng_() % groups;
   for (AggKind kind : {AggKind::kSum, AggKind::kMin, AggKind::kMax}) {
-    AggAccum ref(groups);
-    agg::UpdateAccum(kind, TypeId::kI32, n, nullptr, gid.data(), mask.data(),
-                     data.data(), ref.i64.data(), ref.f64.data(),
-                     ref.count.data(), SimdLevel::kScalar);
+    AggAccum ref(kind, TypeId::kI32, groups);
+    ref.Fold(n, gid.data(), mask.data(), data.data(), SimdLevel::kScalar);
     for (SimdLevel l : NonScalarLevels()) {
-      AggAccum got(groups);
-      agg::UpdateAccum(kind, TypeId::kI32, n, nullptr, gid.data(),
-                       mask.data(), data.data(), got.i64.data(),
-                       got.f64.data(), got.count.data(), l);
+      AggAccum got(kind, TypeId::kI32, groups);
+      got.Fold(n, gid.data(), mask.data(), data.data(), l);
       EXPECT_TRUE(ref.BitIdentical(got)) << AggKindName(kind);
     }
   }
 }
 
-TEST_F(SimdTest, UpdateCountStar) {
-  std::vector<int64_t> count(4, 0);
-  agg::UpdateCountStar(100, nullptr, count.data());
-  EXPECT_EQ(count[0], 100);
+TEST_F(SimdTest, FusedKernelMatchesOneColumnAtATime) {
+  // One pass over K same-(kind, type) columns leaves exactly the state of
+  // K single-column passes (per-group row order is unchanged).
+  const int n = 1000, groups = 4;
+  std::vector<std::vector<double>> cols;
+  for (int k = 0; k < agg::kMaxFused; k++) cols.push_back(RandomF64(n));
+  std::vector<uint32_t> gid(n);
+  for (int i = 0; i < n; i++) gid[i] = rng_() % groups;
+  for (int k = 1; k <= agg::kMaxFused; k++) {
+    std::vector<AggAccum> one, fused;
+    std::vector<agg::Slots> slots;
+    std::vector<const void*> ptrs;
+    for (int c = 0; c < k; c++) {
+      one.emplace_back(AggKind::kSum, TypeId::kF64, groups);
+      fused.emplace_back(AggKind::kSum, TypeId::kF64, groups);
+    }
+    for (int c = 0; c < k; c++) {
+      one[c].Fold(n, gid.data(), nullptr, cols[c].data(), SimdLevel::kScalar);
+      slots.push_back(fused[c].slots());
+      ptrs.push_back(cols[c].data());
+    }
+    agg::FindUpdate(AggKind::kSum, TypeId::kF64, k, false)(
+        n, nullptr, gid.data(), ptrs.data(), nullptr, slots.data());
+    for (int c = 0; c < k; c++) {
+      EXPECT_TRUE(one[c].BitIdentical(fused[c])) << "k=" << k << " c=" << c;
+    }
+  }
+}
+
+TEST_F(SimdTest, SumI64ReportsOverflowAtEveryLevel) {
+  // Four values near INT64_MAX / 2 wrap a plain int64 sum. The exact
+  // (sum, wraps) pair flags it at every level, keyless and grouped, and
+  // a later negative vector that brings the total back in range clears
+  // it again — the result depends on the exact sum, not the order.
+  const int64_t big = std::numeric_limits<int64_t>::max() / 2 + 2;
+  std::vector<int64_t> up(4, big), down(4, -big);
+  std::vector<uint32_t> gid = {1, 1, 1, 1};
+  for (SimdLevel l : AvailableSimdLevels()) {
+    for (const uint32_t* g : {static_cast<const uint32_t*>(nullptr),
+                              static_cast<const uint32_t*>(gid.data())}) {
+      AggAccum acc(AggKind::kSum, TypeId::kI64, 2);
+      acc.Fold(4, g, nullptr, up.data(), l);
+      const uint32_t at = g ? 1 : 0;
+      int64_t out = 0;
+      EXPECT_TRUE(agg::CheckedSum(acc.slots(), at, &out).IsOverflow())
+          << SimdLevelName(l);
+      acc.Fold(4, g, nullptr, down.data(), l);
+      ASSERT_TRUE(agg::CheckedSum(acc.slots(), at, &out).ok())
+          << SimdLevelName(l);
+      EXPECT_EQ(out, 0);
+    }
+  }
+}
+
+TEST_F(SimdTest, CountRows) {
+  std::vector<int64_t> rows(4, 0);
+  agg::CountRows(100, nullptr, rows.data(), 1);
+  EXPECT_EQ(rows[0], 100);
   std::vector<uint32_t> gid = {0, 1, 1, 3};
-  agg::UpdateCountStar(4, gid.data(), count.data());
-  EXPECT_EQ(count[0], 101);
-  EXPECT_EQ(count[1], 2);
-  EXPECT_EQ(count[3], 1);
+  agg::CountRows(4, gid.data(), rows.data(), 4);
+  EXPECT_EQ(rows[0], 101);
+  EXPECT_EQ(rows[1], 2);
+  EXPECT_EQ(rows[3], 1);
+  // Both the few-groups and the many-groups paths count every row.
+  for (const int groups : {3, agg::kSmallGroups, agg::kSmallGroups + 1,
+                           5000}) {
+    std::vector<uint32_t> many(1023);
+    std::vector<int64_t> want(groups, 0), got(groups, 0);
+    for (auto& g : many) {
+      g = static_cast<uint32_t>(rng_() % groups);
+      want[g]++;
+    }
+    agg::CountRows(static_cast<int>(many.size()), many.data(), got.data(),
+                   groups);
+    EXPECT_EQ(got, want) << groups;
+  }
 }
 
 // ---- end-to-end: whole queries across dispatch levels ----------------------
