@@ -334,6 +334,7 @@ int main(int argc, char** argv) {
     if (!tpch::Generate(&db1, 0.1).ok()) return 1;
     db1.config().max_parallelism = 1;
     Session s1(&db1);
+    (void)s1.Execute(tpch::Q1Plan());  // warm the buffer pool
     std::vector<double> per_row;
     for (int r = 0; r < 7; r++) {
       auto res = s1.Execute(tpch::Q1Plan());

@@ -691,25 +691,22 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
   // kMaxFused per pass. COUNT(*) has no step: the table's row counts are
   // its result.
   steps_.clear();
-  std::vector<agg::UpdateFn> step_key;
   for (size_t a = 0; a < aggs.size(); a++) {
     if (agg_progs_[a] == nullptr) continue;
     const agg::UpdateFn one =
         agg::FindUpdate(kinds_[a], in_types[a], 1, false, simd);
     size_t s = 0;
     while (s < steps_.size() &&
-           (step_key[s] != one ||
+           (steps_[s].single != one ||
             static_cast<int>(steps_[s].members.size()) >= agg::kMaxFused)) {
       s++;
     }
     if (s == steps_.size()) {
-      steps_.emplace_back();
-      step_key.push_back(one);
+      steps_.push_back(
+          {{}, nullptr, one,
+           agg::FindUpdate(kinds_[a], in_types[a], 1, true, simd)});
     }
     steps_[s].members.push_back(static_cast<int>(a));
-    steps_[s].single.push_back(one);
-    steps_[s].with_nulls.push_back(
-        agg::FindUpdate(kinds_[a], in_types[a], 1, true, simd));
   }
   for (UpdateStep& st : steps_) {
     const int a = st.members[0];
@@ -852,12 +849,12 @@ void AggWorkerState::Update(GroupTable* t, int n, const sel_t* sel,
     for (int m = 0; m < k; m++) {
       const Vector* v = agg_vecs_[st.members[m]];
       if (!v->has_nulls()) {
-        st.single[m](n, sel, gid, &cols[m], nullptr, &acc[m]);
+        st.single(n, sel, gid, &cols[m], nullptr, &acc[m]);
         continue;
       }
       t->EnsureNullCounts(st.members[m]);
       const agg::Slots slots = t->accum(st.members[m]).slots();
-      st.with_nulls[m](n, sel, gid, &cols[m], v->nulls(), &slots);
+      st.with_nulls(n, sel, gid, &cols[m], v->nulls(), &slots);
     }
   }
   agg::CountRows(n, gid, t->rows(), t->num_groups());

@@ -253,12 +253,13 @@ class AggWorkerState {
   /// into table `t`.
   void Update(GroupTable* t, int n, const sel_t* sel, const uint32_t* gid);
 
-  /// Same-(kind, type) aggregates folded by one fused kernel.
+  /// Aggregates sharing one single-column kernel, folded by its fused
+  /// variant.
   struct UpdateStep {
-    std::vector<int> members;   // aggregate indices, at most kMaxFused
-    agg::UpdateFn fused = nullptr;
-    std::vector<agg::UpdateFn> single;     // per member, no NULLs
-    std::vector<agg::UpdateFn> with_nulls;  // per member, NULL-skipping
+    std::vector<int> members;  // aggregate indices, at most kMaxFused
+    agg::UpdateFn fused;       // all members at once, no NULLs
+    agg::UpdateFn single;      // one member, no NULLs
+    agg::UpdateFn with_nulls;  // one member, NULL-skipping
   };
 
   std::vector<std::unique_ptr<ExprProgram>> key_progs_;

@@ -4,9 +4,9 @@
 //    single and multi-column, on both sides of the direct-map limit) and
 //    every (aggregate kind, input type) pair, with NULL inputs and
 //    selection vectors, against a row-at-a-time reference computed here.
-//    Each query runs under workers {1, 4} x radix_bits {0, auto, 6} x
-//    SIMD {scalar, auto}, and under a memory_limit that sends the
-//    aggregation out of core. Value columns hold numbers whose sums are
+//    Each query runs at workers {1, 4}, radix_bits {0, auto, 6} and SIMD
+//    {scalar, auto}, and under a memory_limit that sends the aggregation
+//    out of core. Value columns hold numbers whose sums are
 //    exact in double, so every result is bit-identical to the reference
 //    whatever the morsel schedule; arbitrary doubles are checked at a
 //    fixed worker count through the operator directly.
@@ -296,11 +296,12 @@ TEST_F(AggParityTest, EveryKeyTypeAndAggregateUnderEveryKnob) {
       {"ki32", "ki64"},         // direct: 8 + 8 bits, at the limit
       {"kb", "ki8", "ki32"},    // 2 + 8 + 8 bits: past it, hashed
       {"ki16", "ks"}};          // hashed
-  std::vector<Knobs> knobs;
-  for (SimdMode simd : {SimdMode::kScalar, SimdMode::kAuto}) {
-    knobs.push_back({1, -1, simd, 0});
-    for (int bits : {0, -1, 6}) knobs.push_back({4, bits, simd, 0});
-  }
+  // Radix bits are swept at 4 workers on the scalar level; the auto level
+  // reruns the default (auto bits).
+  std::vector<Knobs> knobs = {{1, -1, SimdMode::kScalar, 0},
+                              {1, -1, SimdMode::kAuto, 0},
+                              {4, -1, SimdMode::kAuto, 0}};
+  for (int bits : {0, -1, 6}) knobs.push_back({4, bits, SimdMode::kScalar, 0});
   for (const auto& keys : key_sets) {
     const auto want = Reference(keys);
     for (const Knobs& k : knobs) {
@@ -316,14 +317,13 @@ TEST_F(AggParityTest, EveryKeyTypeAndAggregateUnderEveryKnob) {
 TEST_F(AggParityTest, OutOfCoreAggregationMatches) {
   // A memory limit far below the group tables sends every configuration
   // down the AggSpill path; the reloaded chunks must merge back exactly.
-  const std::vector<std::vector<std::string>> key_sets = {
-      {"kwide"}, {"ks"}, {"ki16", "ks"}};
+  const std::vector<std::vector<std::string>> key_sets = {{"kwide"},
+                                                         {"ki16", "ks"}};
   for (const auto& keys : key_sets) {
     const auto want = Reference(keys);
     for (SimdMode simd : {SimdMode::kScalar, SimdMode::kAuto}) {
       for (const Knobs& k : {Knobs{1, -1, simd, 256 << 10},
                              Knobs{4, 0, simd, 256 << 10},
-                             Knobs{4, -1, simd, 256 << 10},
                              Knobs{4, 6, simd, 256 << 10}}) {
         const std::string what = "keys=" + keys[0] + " " + k.Name();
         auto got = Run(keys, k);
