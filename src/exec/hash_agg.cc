@@ -37,30 +37,6 @@ bool CellsEqual(const RowBuffer& a, int col, int64_t ra, const RowBuffer& b,
   return false;
 }
 
-/// Typed equality of an input cell against a stored group key.
-template <typename T>
-bool CellEquals(const Vector& v, int row, const RowBuffer& keys, int col,
-                int64_t g) {
-  const bool in_null = v.IsNull(row), g_null = keys.IsNull(col, g);
-  if (in_null || g_null) return in_null == g_null;
-  return v.Data<T>()[row] == keys.Col<T>(col)[g];
-}
-
-bool KeyCellEquals(const Vector& v, int row, const RowBuffer& keys, int col,
-                   int64_t g) {
-  switch (v.type()) {
-    case TypeId::kBool: return CellEquals<uint8_t>(v, row, keys, col, g);
-    case TypeId::kI8: return CellEquals<int8_t>(v, row, keys, col, g);
-    case TypeId::kI16: return CellEquals<int16_t>(v, row, keys, col, g);
-    case TypeId::kI32:
-    case TypeId::kDate: return CellEquals<int32_t>(v, row, keys, col, g);
-    case TypeId::kI64: return CellEquals<int64_t>(v, row, keys, col, g);
-    case TypeId::kF64: return CellEquals<double>(v, row, keys, col, g);
-    case TypeId::kStr: return CellEquals<StrRef>(v, row, keys, col, g);
-  }
-  return false;
-}
-
 /// The compare primitive of the vectorized lookup: match[t] &= (input key
 /// of row todo[t] == stored key of group cand[t]) for one key column,
 /// NULL equal to NULL.
@@ -120,31 +96,6 @@ uint64_t NullKeyHash(TypeId t) {
   }
 }
 
-uint64_t KeyCellHash(const Vector& v, int i) {
-  if (v.IsNull(i)) return NullKeyHash(v.type());
-  switch (v.type()) {
-    case TypeId::kBool: return hashk::HashValue(v.Data<uint8_t>()[i]);
-    case TypeId::kI8: return hashk::HashValue(v.Data<int8_t>()[i]);
-    case TypeId::kI16: return hashk::HashValue(v.Data<int16_t>()[i]);
-    case TypeId::kI32:
-    case TypeId::kDate: return hashk::HashValue(v.Data<int32_t>()[i]);
-    case TypeId::kI64: return hashk::HashValue(v.Data<int64_t>()[i]);
-    case TypeId::kF64: return hashk::HashValue(v.Data<double>()[i]);
-    case TypeId::kStr: return hashk::HashValue(v.Data<StrRef>()[i]);
-  }
-  return 0;
-}
-
-/// One row's key hash, identical to HashKeys for that row.
-uint64_t HashKeyRow(const std::vector<const Vector*>& keys, int i) {
-  uint64_t h = 0;
-  for (size_t k = 0; k < keys.size(); k++) {
-    const uint64_t hv = KeyCellHash(*keys[k], i);
-    h = k == 0 ? hv : HashCombine(h, hv);
-  }
-  return h;
-}
-
 /// hashes[j] = combined key hash of row sel ? sel[j] : j, one hash
 /// primitive per key column; NULL cells hash as NullKeyHash.
 void HashKeys(const std::vector<const Vector*>& keys, int n, const sel_t* sel,
@@ -163,6 +114,14 @@ void HashKeys(const std::vector<const Vector*>& keys, int n, const sel_t* sel,
       hashes[j] = k == 0 ? hv : HashCombine(hashes[j], hv);
     }
   }
+}
+
+/// One row's key hash, identical to HashKeys for that row.
+uint64_t HashKeyRow(const std::vector<const Vector*>& keys, int i) {
+  const sel_t row = i;
+  uint64_t h = 0, tmp = 0;
+  HashKeys(keys, 1, &row, &h, &tmp, SimdLevel::kScalar);
+  return h;
 }
 
 constexpr unsigned kEmptyStrCode = 256;
@@ -298,9 +257,11 @@ Result<uint32_t> GroupTable::FindOrAddRow(
   for (int64_t node = buckets_[hash & bucket_mask_]; node >= 0;
        node = chain_[node]) {
     if (key_hashes_[node] != hash) continue;
-    bool eq = true;
-    for (size_t k = 0; k < keys.size() && eq; k++) {
-      eq = KeyCellEquals(*keys[k], row, *keys_, static_cast<int>(k), node);
+    uint8_t eq = 1;
+    const int32_t at = row;
+    for (size_t k = 0; k < keys.size(); k++) {
+      MatchColumn(1, &at, &node, nullptr, *keys[k], *keys_,
+                  static_cast<int>(k), &eq);
     }
     if (eq) return static_cast<uint32_t>(node);
   }

@@ -9,15 +9,6 @@ namespace x100 {
 namespace agg {
 namespace {
 
-/// Exact two's-complement add of v into a wrapping sum with its
-/// wrap-around count: the pair always denotes s + w * 2^64.
-inline void AddCounted(int64_t* s, int64_t* w, int64_t v) {
-  int64_t r;
-  const bool o = __builtin_add_overflow(*s, v, &r);
-  *s = r;
-  *w += o ? (v < 0 ? -1 : 1) : 0;
-}
-
 inline int64_t WrapSub(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) -
                               static_cast<uint64_t>(b));
@@ -158,7 +149,7 @@ void SumInt(int n, const sel_t* sel, const uint32_t* gid,
         if (pass == 0) {
           acc[k].i64[g] = WrapSub(acc[k].i64[g], v);
         } else {
-          AddCounted(&acc[k].i64[g], &acc[k].wraps[g], v);
+          AddWrapCounted(&acc[k].i64[g], &acc[k].wraps[g], v);
         }
       }
     }
@@ -177,40 +168,51 @@ void CountNulls(int n, const sel_t* sel, const uint32_t* gid,
 void Nothing(int, const sel_t*, const uint32_t*, const void* const*,
              const uint8_t*, const Slots*) {}
 
-template <typename Op, typename T>
-UpdateFn PickFold(int k, bool nulls) {
-  if (nulls) return &Fold<Op, T, 1, true>;
+/// Instantiates Kernel::Run<K, kNulls> for the k aggregates asked for
+/// (the NULL-skipping variant exists for K = 1 only).
+template <typename Kernel>
+UpdateFn PickK(int k, bool nulls) {
+  if (nulls) return &Kernel::template Run<1, true>;
   switch (k) {
-    case 1: return &Fold<Op, T, 1, false>;
-    case 2: return &Fold<Op, T, 2, false>;
-    case 3: return &Fold<Op, T, 3, false>;
-    case 4: return &Fold<Op, T, 4, false>;
-    case 5: return &Fold<Op, T, 5, false>;
-    case 6: return &Fold<Op, T, 6, false>;
-    case 7: return &Fold<Op, T, 7, false>;
-    default: return &Fold<Op, T, 8, false>;
+    case 1: return &Kernel::template Run<1, false>;
+    case 2: return &Kernel::template Run<2, false>;
+    case 3: return &Kernel::template Run<3, false>;
+    case 4: return &Kernel::template Run<4, false>;
+    case 5: return &Kernel::template Run<5, false>;
+    case 6: return &Kernel::template Run<6, false>;
+    case 7: return &Kernel::template Run<7, false>;
+    default: return &Kernel::template Run<8, false>;
   }
 }
 
-template <typename T>
-UpdateFn PickSumInt(int k, bool nulls) {
-  if (nulls) return &SumInt<T, 1, true>;
-  switch (k) {
-    case 1: return &SumInt<T, 1, false>;
-    case 2: return &SumInt<T, 2, false>;
-    case 3: return &SumInt<T, 3, false>;
-    case 4: return &SumInt<T, 4, false>;
-    case 5: return &SumInt<T, 5, false>;
-    case 6: return &SumInt<T, 6, false>;
-    case 7: return &SumInt<T, 7, false>;
-    default: return &SumInt<T, 8, false>;
+template <typename Op, typename T>
+struct FoldKernel {
+  template <int K, bool kNulls>
+  static void Run(int n, const sel_t* sel, const uint32_t* gid,
+                  const void* const* cols, const uint8_t* nulls,
+                  const Slots* acc) {
+    Fold<Op, T, K, kNulls>(n, sel, gid, cols, nulls, acc);
   }
+};
+template <typename Op, typename T>
+UpdateFn PickFold(int k, bool nulls) {
+  return PickK<FoldKernel<Op, T>>(k, nulls);
 }
+
+template <typename T>
+struct SumIntKernel {
+  template <int K, bool kNulls>
+  static void Run(int n, const sel_t* sel, const uint32_t* gid,
+                  const void* const* cols, const uint8_t* nulls,
+                  const Slots* acc) {
+    SumInt<T, K, kNulls>(n, sel, gid, cols, nulls, acc);
+  }
+};
 
 template <typename T>
 UpdateFn PickIntKind(AggKind kind, int k, bool nulls) {
   switch (kind) {
-    case AggKind::kSum: return PickSumInt<T>(k, nulls);
+    case AggKind::kSum: return PickK<SumIntKernel<T>>(k, nulls);
     case AggKind::kAvg: return PickFold<AvgIntOp, T>(k, nulls);
     case AggKind::kMin: return PickFold<MinIntOp, T>(k, nulls);
     case AggKind::kMax: return PickFold<MaxIntOp, T>(k, nulls);
@@ -270,31 +272,36 @@ void MinMaxKeylessAvx2(int n, const int64_t* v, const uint8_t* nulls,
 
 /// Keyless + dense vectors run the AVX2 folds (NULL lanes are masked, not
 /// trusted); grouped or selected vectors take the scalar kernel.
-template <AggKind kKind, typename T, int K, bool kNulls>
-void KeylessAvx2(int n, const sel_t* sel, const uint32_t* gid,
-                 const void* const* cols, const uint8_t* nulls,
-                 const Slots* acc) {
-  if (gid != nullptr || sel != nullptr) {
-    if (kKind == AggKind::kSum) {
-      SumInt<T, K, kNulls>(n, sel, gid, cols, nulls, acc);
-    } else if (kKind == AggKind::kMin) {
-      Fold<MinIntOp, T, K, kNulls>(n, sel, gid, cols, nulls, acc);
-    } else {
-      Fold<MaxIntOp, T, K, kNulls>(n, sel, gid, cols, nulls, acc);
+/// Keyless + dense vectors run the AVX2 folds (NULL lanes are masked, not
+/// trusted); grouped or selected vectors take the scalar kernel.
+template <AggKind kKind, typename T>
+struct KeylessAvx2 {
+  template <int K, bool kNulls>
+  static void Run(int n, const sel_t* sel, const uint32_t* gid,
+                  const void* const* cols, const uint8_t* nulls,
+                  const Slots* acc) {
+    if (gid != nullptr || sel != nullptr) {
+      if (kKind == AggKind::kSum) {
+        SumInt<T, K, kNulls>(n, sel, gid, cols, nulls, acc);
+      } else if (kKind == AggKind::kMin) {
+        Fold<MinIntOp, T, K, kNulls>(n, sel, gid, cols, nulls, acc);
+      } else {
+        Fold<MaxIntOp, T, K, kNulls>(n, sel, gid, cols, nulls, acc);
+      }
+      return;
     }
-    return;
-  }
-  for (int k = 0; k < K; k++) {
-    const T* v = static_cast<const T*>(cols[k]);
-    if (kKind == AggKind::kSum) {
-      SumKeylessAvx2(n, v, kNulls ? nulls : nullptr, acc[k]);
-    } else {
-      MinMaxKeylessAvx2(n, v, kNulls ? nulls : nullptr,
-                        kKind == AggKind::kMin, acc[k]);
+    for (int k = 0; k < K; k++) {
+      const T* v = static_cast<const T*>(cols[k]);
+      if (kKind == AggKind::kSum) {
+        SumKeylessAvx2(n, v, kNulls ? nulls : nullptr, acc[k]);
+      } else {
+        MinMaxKeylessAvx2(n, v, kNulls ? nulls : nullptr,
+                          kKind == AggKind::kMin, acc[k]);
+      }
     }
+    if (kNulls) acc[0].nulls[0] += n - simd_avx2::CountNonNull(n, nulls);
   }
-  if (kNulls) acc[0].nulls[0] += n - simd_avx2::CountNonNull(n, nulls);
-}
+};
 
 void CountNullsAvx2(int n, const sel_t* sel, const uint32_t* gid,
                     const void* const* cols, const uint8_t* nulls,
@@ -306,27 +313,12 @@ void CountNullsAvx2(int n, const sel_t* sel, const uint32_t* gid,
   acc[0].nulls[0] += n - simd_avx2::CountNonNull(n, nulls);
 }
 
-template <AggKind kKind, typename T>
-UpdateFn PickKeylessAvx2(int k, bool nulls) {
-  if (nulls) return &KeylessAvx2<kKind, T, 1, true>;
-  switch (k) {
-    case 1: return &KeylessAvx2<kKind, T, 1, false>;
-    case 2: return &KeylessAvx2<kKind, T, 2, false>;
-    case 3: return &KeylessAvx2<kKind, T, 3, false>;
-    case 4: return &KeylessAvx2<kKind, T, 4, false>;
-    case 5: return &KeylessAvx2<kKind, T, 5, false>;
-    case 6: return &KeylessAvx2<kKind, T, 6, false>;
-    case 7: return &KeylessAvx2<kKind, T, 7, false>;
-    default: return &KeylessAvx2<kKind, T, 8, false>;
-  }
-}
-
 template <typename T>
 UpdateFn Avx2IntKind(AggKind kind, int k, bool nulls) {
   switch (kind) {
-    case AggKind::kSum: return PickKeylessAvx2<AggKind::kSum, T>(k, nulls);
-    case AggKind::kMin: return PickKeylessAvx2<AggKind::kMin, T>(k, nulls);
-    case AggKind::kMax: return PickKeylessAvx2<AggKind::kMax, T>(k, nulls);
+    case AggKind::kSum: return PickK<KeylessAvx2<AggKind::kSum, T>>(k, nulls);
+    case AggKind::kMin: return PickK<KeylessAvx2<AggKind::kMin, T>>(k, nulls);
+    case AggKind::kMax: return PickK<KeylessAvx2<AggKind::kMax, T>>(k, nulls);
     default: return nullptr;
   }
 }
@@ -410,7 +402,7 @@ void Combine(AggKind kind, const Layout& layout, const Slots& dst,
     case AggKind::kSum:
     case AggKind::kAvg:
       if (layout.wraps) {
-        AddCounted(&dst.i64[dg], &dst.wraps[dg], src.i64[sg]);
+        AddWrapCounted(&dst.i64[dg], &dst.wraps[dg], src.i64[sg]);
         dst.wraps[dg] += src.wraps[sg];
       } else {
         dst.f64[dg] += src.f64[sg];

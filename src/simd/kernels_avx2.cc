@@ -824,13 +824,6 @@ inline void AddLanesCounted(__m256i val, __m256i* acc, __m256i* wraps) {
   *acc = s;
 }
 
-inline void AddCountedScalar(int64_t* s, int64_t* w, int64_t v) {
-  int64_t r;
-  const bool o = __builtin_add_overflow(*s, v, &r);
-  *s = r;
-  *w += o ? (v < 0 ? -1 : 1) : 0;
-}
-
 /// Folds the four lane pairs into (*sum, *wraps) exactly.
 inline void FoldLanesCounted(__m256i acc, __m256i wraps, int64_t* sum,
                              int64_t* w) {
@@ -839,7 +832,7 @@ inline void FoldLanesCounted(__m256i acc, __m256i wraps, int64_t* sum,
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
   _mm256_store_si256(reinterpret_cast<__m256i*>(lane_wraps), wraps);
   for (int l = 0; l < 4; l++) {
-    AddCountedScalar(sum, w, lanes[l]);
+    AddWrapCounted(sum, w, lanes[l]);
     *w += lane_wraps[l];
   }
 }
@@ -870,7 +863,7 @@ void SumI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
   FoldLanesCounted(acc, lane_wraps, sum, wraps);
   for (; i < n; i++) {
     if (nulls != nullptr && nulls[i]) continue;
-    AddCountedScalar(sum, wraps, v[i]);
+    AddWrapCounted(sum, wraps, v[i]);
   }
 }
 
@@ -889,7 +882,7 @@ void SumI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
   FoldLanesCounted(acc, lane_wraps, sum, wraps);
   for (; i < n; i++) {
     if (nulls != nullptr && nulls[i]) continue;
-    AddCountedScalar(sum, wraps, v[i]);
+    AddWrapCounted(sum, wraps, v[i]);
   }
 }
 
@@ -1056,21 +1049,13 @@ int64_t CountNonNull(int n, const uint8_t* nulls) {
 void SumI32Keyless(int n, const int32_t* v, const uint8_t* nulls,
                    int64_t* sum, int64_t* wraps) {
   for (int i = 0; i < n; i++) {
-    if (nulls != nullptr && nulls[i]) continue;
-    int64_t r;
-    const bool o = __builtin_add_overflow(*sum, int64_t{v[i]}, &r);
-    *sum = r;
-    *wraps += o ? (v[i] < 0 ? -1 : 1) : 0;
+    if (nulls == nullptr || !nulls[i]) AddWrapCounted(sum, wraps, v[i]);
   }
 }
 void SumI64Keyless(int n, const int64_t* v, const uint8_t* nulls,
                    int64_t* sum, int64_t* wraps) {
   for (int i = 0; i < n; i++) {
-    if (nulls != nullptr && nulls[i]) continue;
-    int64_t r;
-    const bool o = __builtin_add_overflow(*sum, v[i], &r);
-    *sum = r;
-    *wraps += o ? (v[i] < 0 ? -1 : 1) : 0;
+    if (nulls == nullptr || !nulls[i]) AddWrapCounted(sum, wraps, v[i]);
   }
 }
 bool MinMaxI32Keyless(int n, const int32_t* v, const uint8_t* nulls,

@@ -54,6 +54,16 @@ int CompactTrueNotNull(int n, const uint8_t* val, const uint8_t* nulls,
 
 }  // namespace simd
 
+/// Exact add of v into a wrapping int64 sum with its wrap-around count:
+/// the pair (*sum, *wraps) always denotes *sum + *wraps * 2^64. The scalar
+/// reference of every integer SUM fold and merge.
+inline void AddWrapCounted(int64_t* sum, int64_t* wraps, int64_t v) {
+  int64_t r;
+  const bool o = __builtin_add_overflow(*sum, v, &r);
+  *sum = r;
+  *wraps += o ? (v < 0 ? -1 : 1) : 0;
+}
+
 namespace simd_avx2 {
 
 /// Registers this target's primitive-registry variants (select/map
