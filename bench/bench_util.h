@@ -1,5 +1,6 @@
 // Shared helpers for the experiment benches (E1..E12). Each bench binary
-// prints paper-style result tables; EXPERIMENTS.md records the outcomes.
+// prints paper-style result tables; docs/BENCHMARKS.md records the
+// outcomes.
 // Invoking a bench with `--json <path>` additionally writes its results
 // as a machine-readable JSON document (CI uploads these as artifacts).
 #ifndef X100_BENCH_BENCH_UTIL_H_

@@ -1,6 +1,6 @@
 // Deterministic PRNG (xoshiro256**) used by the TPC-H generator, the
 // benchmark workload generators and property tests. Determinism matters:
-// every experiment in EXPERIMENTS.md must be re-runnable bit-for-bit.
+// every experiment in docs/BENCHMARKS.md must be re-runnable bit-for-bit.
 #ifndef X100_COMMON_RNG_H_
 #define X100_COMMON_RNG_H_
 

@@ -172,18 +172,26 @@ void TaskGroup::Spawn(std::function<Status()> fn) {
     std::lock_guard<std::mutex> lock(mu_);
     outstanding_++;
   }
-  scheduler_->Submit(
-      [this, fn = std::move(fn)] {
-        if (IsCancelled()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          any_cancelled_ = true;
-          outstanding_--;
-          if (outstanding_ == 0) done_cv_.notify_all();
-          return;
-        }
-        Finish(fn());
-      },
-      tag_);
+  scheduler_->Submit([this, fn = std::move(fn)] { Run(fn); }, tag_);
+}
+
+void TaskGroup::RunInline(const std::function<Status()>& fn) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    outstanding_++;
+  }
+  Run(fn);
+}
+
+void TaskGroup::Run(const std::function<Status()>& fn) {
+  if (IsCancelled()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    any_cancelled_ = true;
+    outstanding_--;
+    if (outstanding_ == 0) done_cv_.notify_all();
+    return;
+  }
+  Finish(fn());
 }
 
 void TaskGroup::Finish(const Status& s) {
@@ -235,14 +243,20 @@ Status RunPipelineTasks(TaskScheduler* scheduler, TaskQuota* quota,
   {
     TaskGroup group(scheduler, cancel, help_tag);
     std::atomic<int> next{0};
-    for (int t = 0; t < grant && t < n; t++) {
-      group.Spawn([&group, &next, &body, n]() -> Status {
-        int i;
-        while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
-          X100_RETURN_IF_ERROR(body(i, group));
-        }
-        return Status::OK();
-      });
+    const auto task = [&group, &next, &body, n]() -> Status {
+      int i;
+      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
+        X100_RETURN_IF_ERROR(body(i, group));
+      }
+      return Status::OK();
+    };
+    if (n == 1) {
+      // A single task runs on the calling thread: spawning it would only
+      // move the whole chain onto a pool thread, out of the caller's
+      // profile, at the cost of a scheduler round trip.
+      group.RunInline(task);
+    } else {
+      for (int t = 0; t < grant && t < n; t++) group.Spawn(task);
     }
     status = group.Wait();  // pipeline barrier
   }

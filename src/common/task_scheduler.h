@@ -227,6 +227,11 @@ class TaskGroup {
   /// overrides a real error).
   void Spawn(std::function<Status()> fn);
 
+  /// Runs `fn` on the calling thread exactly as a spawned task would run
+  /// on a pool thread: skipped when the group is already cancelled, its
+  /// status recorded for Wait().
+  void RunInline(const std::function<Status()>& fn);
+
   /// Blocks until every spawned task finished or was skipped, helping to
   /// run queued tasks meanwhile. Returns the first error, Cancelled if
   /// the group was cancelled with no prior error, OK otherwise.
@@ -250,6 +255,8 @@ class TaskGroup {
   const void* tag() const { return tag_; }
 
  private:
+  /// A task's body: skip if cancelled, else run and Finish.
+  void Run(const std::function<Status()>& fn);
   void Finish(const Status& s);
 
   TaskScheduler* scheduler_;
@@ -270,7 +277,9 @@ class TaskGroup {
 /// that many tasks into a TaskGroup chained to `cancel`, and has each
 /// task claim work-item indexes [0, n) from a shared cursor and run
 /// `body(index, group)` — so a reduced grant still covers every item,
-/// just with less concurrency. Waits at the barrier, releases the quota,
+/// just with less concurrency. A single item (n == 1) runs on the calling
+/// thread instead (TaskGroup::RunInline), so a one-chain pipeline stays
+/// inside its sink's Next. Waits at the barrier, releases the quota,
 /// and returns the group's status (first error wins). `help_tag`
 /// forwards to the TaskGroup (see its constructor): pipelines whose
 /// completion OTHER threads block on (the partitioned join build) tag

@@ -179,28 +179,35 @@ void CloneAggItems(const AlgebraNode& node, std::vector<ProjectItem>* keys,
   }
 }
 
+/// The input chains of a pipeline breaker: `parallelism` clones of a
+/// streaming input, one chain otherwise (a serial plan, a breaker or
+/// exchange below, or a breaker inside a clone being built).
+Result<std::vector<OperatorPtr>> BuildSinkChains(
+    const AlgebraPtr& input, PlannerContext* pc,
+    const PhysicalPlanner* planner) {
+  if (pc->parallelism > 1 && !pc->cloning && IsClonablePipeline(input)) {
+    return BuildPipelineChains(input, pc->parallelism, pc, planner);
+  }
+  std::vector<OperatorPtr> chains;
+  OperatorPtr child;
+  X100_ASSIGN_OR_RETURN(child, planner->Build(input, pc));
+  chains.push_back(std::move(child));
+  return chains;
+}
+
 Result<OperatorPtr> AggrFactory(const AlgebraPtr& node, PlannerContext* pc,
                                 const PhysicalPlanner* planner) {
   std::vector<ProjectItem> keys;
   std::vector<AggItem> aggs;
   CloneAggItems(*node, &keys, &aggs);
-  // Pipeline decomposition: an aggregation over a streaming chain becomes
-  // the sink of a parallel pipeline — N chain clones drained by scheduler
-  // tasks into per-worker group tables, merged at the barrier.
-  if (pc->parallelism > 1 && !pc->cloning &&
-      IsClonablePipeline(node->children[0])) {
-    std::vector<OperatorPtr> chains;
-    X100_ASSIGN_OR_RETURN(
-        chains, BuildPipelineChains(node->children[0], pc->parallelism, pc,
-                                    planner));
-    return OperatorPtr(std::make_unique<ParallelHashAggOp>(
-        std::move(chains), std::move(keys), std::move(aggs),
-        pc->radix_bits));
-  }
-  OperatorPtr child;
-  X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
+  // Pipeline decomposition: the aggregation is the sink of its input's
+  // pipeline — each chain drained by a scheduler task into a per-worker
+  // group table, merged at the barrier.
+  std::vector<OperatorPtr> chains;
+  X100_ASSIGN_OR_RETURN(chains, BuildSinkChains(node->children[0], pc,
+                                                planner));
   return OperatorPtr(std::make_unique<HashAggOp>(
-      std::move(child), std::move(keys), std::move(aggs)));
+      std::move(chains), std::move(keys), std::move(aggs), pc->radix_bits));
 }
 
 /// Upper-bound row estimate for a streaming build spine: a scan's table
@@ -283,33 +290,17 @@ Result<OperatorPtr> OrderFactory(const AlgebraPtr& node, PlannerContext* pc,
     }
     return keys;
   };
-  if (pc->parallelism > 1 && !pc->cloning) {
-    // Parallel sort sink: clone the input chain when it streams; a
-    // non-clonable input (an aggregation, say) is drained by one task and
-    // range-split across `parallelism` sort tasks instead.
-    std::vector<OperatorPtr> chains;
-    if (IsClonablePipeline(node->children[0])) {
-      X100_ASSIGN_OR_RETURN(
-          chains, BuildPipelineChains(node->children[0], pc->parallelism,
-                                      pc, planner));
-    } else {
-      OperatorPtr child;
-      X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
-      chains.push_back(std::move(child));
-    }
-    std::vector<SortKey> keys;
-    X100_ASSIGN_OR_RETURN(keys, resolve_keys(chains[0]->output_schema()));
-    return OperatorPtr(std::make_unique<ParallelSortOp>(
-        std::move(chains), std::move(keys), node->limit,
-        pc->parallelism));
-  }
-  OperatorPtr child;
-  X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
+  // Sort sink: each chain sorts its own run. A single chain over a
+  // non-streaming input (an aggregation, say) is range-split across
+  // `parallelism` sort tasks instead; a sort inside a clone stays one way.
+  std::vector<OperatorPtr> chains;
+  X100_ASSIGN_OR_RETURN(chains, BuildSinkChains(node->children[0], pc,
+                                                planner));
   std::vector<SortKey> keys;
-  X100_ASSIGN_OR_RETURN(keys, resolve_keys(child->output_schema()));
-  return OperatorPtr(std::make_unique<SortOp>(std::move(child),
-                                              std::move(keys),
-                                              node->limit));
+  X100_ASSIGN_OR_RETURN(keys, resolve_keys(chains[0]->output_schema()));
+  return OperatorPtr(std::make_unique<SortOp>(
+      std::move(chains), std::move(keys), node->limit,
+      pc->cloning ? 1 : pc->parallelism));
 }
 
 Result<OperatorPtr> XchgFactory(const AlgebraPtr& node, PlannerContext* pc,

@@ -9,16 +9,18 @@
 // factories (e.g. swap SortOp for an external-merge sort) without touching
 // engine code.
 //
-// Pipeline decomposition (replacing the exchange-centric rewrite): when
-// PlannerContext::parallelism > 1, the factories for pipeline breakers
-// (Aggr, Join build sides, Order) build N *clones* of their streaming
-// input chain instead of one operator. Clones of one logical scan share a
-// MorselSource (dynamic block-group handout) and clones of one logical
-// join share a JoinBuildState (table built once, probed by all), both
-// keyed by algebra-node identity in PlannerContext. The resulting
-// operators — ParallelHashAggOp, ParallelSortOp, JoinProbeOp over a
-// shared build — run their chains as scheduler tasks with per-worker
-// state merged at TaskGroup barriers.
+// Pipeline decomposition (replacing the exchange-centric rewrite): every
+// pipeline breaker has one operator — HashAggOp, SortOp, JoinProbeOp over
+// a shared JoinBuildState — that drains its input chains with scheduler
+// tasks into per-worker state merged at a TaskGroup barrier.
+// PlannerContext::parallelism only decides how many chains it gets: when
+// it is > 1, the factories for pipeline breakers (Aggr, Join build sides,
+// Order) build N *clones* of a streaming input chain; otherwise, or over
+// a non-streaming input, one chain (whose single task runs on the calling
+// thread). Clones of one logical scan share a MorselSource (dynamic
+// block-group handout) and clones of one logical join share a
+// JoinBuildState (table built once, probed by all), both keyed by
+// algebra-node identity in PlannerContext.
 //
 // PlannerContext carries the per-build shared state: the database (table
 // lookup), the ExecContext (threaded into scans so they report into
@@ -45,12 +47,12 @@ class Database;
 struct PlannerContext {
   Database* db = nullptr;
   ExecContext* exec = nullptr;
-  /// Pipeline width: > 1 makes the breaker factories decompose the plan
-  /// into parallel pipelines of this many worker chains.
+  /// Pipeline width: the number of worker chains the breaker factories
+  /// give a streaming input (1 = every pipeline is one chain).
   int parallelism = 1;
   /// Effective radix bits for pipeline-breaker merges (already resolved
   /// against the pipeline width via EffectiveRadixBits — 0 disables
-  /// partitioning). Threaded into JoinBuildState / ParallelHashAggOp so
+  /// partitioning). Threaded into JoinBuildState / HashAggOp so
   /// their barrier merges fan out over 2^radix_bits partition tasks.
   int radix_bits = 0;
   /// The raw EngineConfig::radix_bits value. Auto (-1) lets the join

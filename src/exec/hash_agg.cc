@@ -640,7 +640,7 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
     agg_progs_.push_back(std::move(prog).value());
   }
   // Keyless aggregation has exactly one global group — nothing to
-  // partition; the serial operator also always runs unpartitioned.
+  // partition.
   radix_bits_ = bound_keys.empty() || radix_bits < 0 ? 0 : radix_bits;
   kinds_.clear();
   for (const AggItem& a : aggs) kinds_.push_back(a.kind);
@@ -783,10 +783,9 @@ void AggWorkerState::RecordSpillProfile(ExecContext* ctx) const {
   ctx->RecordOperator(std::move(prof));
 }
 
-void AggWorkerState::ForceChargeTables() {
-  int64_t b = 0;
-  for (const auto& t : tables_) b += static_cast<int64_t>(t->MemoryBytes());
-  reserv_.ForceGrowTo(b);
+std::vector<std::unique_ptr<GroupTable>> AggWorkerState::TakeTables() {
+  reserv_.ReleaseAll();
+  return std::move(tables_);
 }
 
 void AggWorkerState::Update(GroupTable* t, int n, const sel_t* sel,
@@ -908,7 +907,7 @@ Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Emit (shared by serial and parallel operators)
+// Emit
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -982,72 +981,20 @@ Result<Batch*> EmitGroupBatch(GroupTable* t,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// HashAggOp (serial)
+// HashAggOp (pipeline sink)
 // ---------------------------------------------------------------------------
 
-HashAggOp::HashAggOp(OperatorPtr child, std::vector<ProjectItem> group_by,
-                     std::vector<AggItem> aggs)
-    : child_(std::move(child)),
-      group_items_(std::move(group_by)),
-      agg_items_(std::move(aggs)) {
-  // Bind at construction so output_schema() precedes Open.
-  init_status_ =
-      binding_.Bind(child_->output_schema(), group_items_, agg_items_);
-}
-
-Status HashAggOp::OpenImpl(ExecContext* ctx) {
-  ctx_ = ctx;
-  X100_RETURN_IF_ERROR(init_status_);
-  X100_RETURN_IF_ERROR(child_->Open(ctx));
-  X100_RETURN_IF_ERROR(worker_.Prepare(binding_.bound_keys,
-                                       binding_.bound_aggs,
-                                       binding_.key_schema, agg_items_,
-                                       binding_.in_types,
-                                       ctx->vector_size, /*radix_bits=*/0,
-                                       ctx->simd));
-  out_ = std::make_unique<Batch>(binding_.out_schema, ctx->vector_size);
-  return Status::OK();
-}
-
-void HashAggOp::CloseImpl() {
-  if (child_) child_->Close();
-}
-
-Result<Batch*> HashAggOp::NextImpl() {
-  if (!consumed_) {
-    X100_RETURN_IF_ERROR(worker_.ConsumeAll(child_.get(), ctx_, agg_items_));
-    // Out-of-core drain: fold any spilled chunks back into the (single,
-    // serial) table before emitting; the reloaded result must be
-    // resident, hence the force charge.
-    if (worker_.spilled()) {
-      worker_.RecordSpillProfile(ctx_);
-      X100_RETURN_IF_ERROR(
-          worker_.MergeSpilled(0, worker_.table(0), ctx_->cancel));
-      worker_.ForceChargeTables();
-    }
-    consumed_ = true;
-  }
-  X100_RETURN_IF_ERROR(ctx_->CheckCancel());
-  return EmitGroupBatch(worker_.table(), agg_items_,
-                        binding_.key_schema.num_fields(),
-                        ctx_->vector_size, &emit_pos_, out_.get());
-}
-
-// ---------------------------------------------------------------------------
-// ParallelHashAggOp (pipeline sink)
-// ---------------------------------------------------------------------------
-
-ParallelHashAggOp::ParallelHashAggOp(std::vector<OperatorPtr> chains,
-                                     std::vector<ProjectItem> group_by,
-                                     std::vector<AggItem> aggs,
-                                     int radix_bits)
+HashAggOp::HashAggOp(std::vector<OperatorPtr> chains,
+                     std::vector<ProjectItem> group_by,
+                     std::vector<AggItem> aggs, int radix_bits)
     : chains_(std::move(chains)),
       group_items_(std::move(group_by)),
       agg_items_(std::move(aggs)),
       radix_bits_(radix_bits < 0 ? 0 : radix_bits) {
+  // Bind at construction so output_schema() precedes Open.
   init_status_ = chains_.empty()
                      ? Status::InvalidArgument(
-                           "parallel aggregation needs >= 1 worker chain")
+                           "aggregation needs >= 1 worker chain")
                      : binding_.Bind(chains_[0]->output_schema(),
                                      group_items_, agg_items_);
   // A keyless aggregation has one global group; partitioning it is
@@ -1055,25 +1002,25 @@ ParallelHashAggOp::ParallelHashAggOp(std::vector<OperatorPtr> chains,
   if (init_status_.ok() && binding_.bound_keys.empty()) radix_bits_ = 0;
 }
 
-Status ParallelHashAggOp::OpenImpl(ExecContext* ctx) {
+Status HashAggOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
   X100_RETURN_IF_ERROR(init_status_);
   // Worker chains are NOT opened here: each is opened, drained and closed
-  // by its pipeline task so the whole chain runs on one pool thread.
+  // by its pipeline task so the whole chain runs on one thread.
   out_ = std::make_unique<Batch>(binding_.out_schema, ctx->vector_size);
   return Status::OK();
 }
 
-void ParallelHashAggOp::CloseImpl() {
-  // Chains were closed by their tasks after ParallelConsume's barrier; a
-  // Close before the pipeline ever ran (error in a sibling operator)
-  // closes them here on the caller.
+void HashAggOp::CloseImpl() {
+  // Chains were closed by their tasks after Consume's barrier; a Close
+  // before the pipeline ever ran (error in a sibling operator) closes
+  // them here on the caller.
   for (OperatorPtr& c : chains_) {
     if (c) c->Close();
   }
 }
 
-Status ParallelHashAggOp::ParallelConsume() {
+Status HashAggOp::Consume() {
   TaskScheduler* sched =
       ctx_->scheduler != nullptr ? ctx_->scheduler : TaskScheduler::Global();
   const int W = static_cast<int>(chains_.size());
@@ -1102,44 +1049,51 @@ Status ParallelHashAggOp::ParallelConsume() {
         return s;
       }));
 
-  // Merge fan-out: one scheduler task per radix partition folds that
-  // partition's per-worker tables into the final table — partitions hold
-  // disjoint key sets, so the tasks share nothing. Partitioning is on
-  // demand: when no worker outgrew one table, the merge is one table and
-  // one task; otherwise every worker is split alike first. Each task
-  // records an "AggMerge" profile entry (rows = merged groups) so merge
-  // cost and partition skew are visible. A keyless aggregation still
-  // emits its single global row on empty input.
+  // Merge fan-out: the first worker's tables become the final tables
+  // (one chain emits from the table it built), and one scheduler task per
+  // radix partition folds the other workers' tables for that partition
+  // into it — partitions hold disjoint key sets, so the tasks share
+  // nothing. Partitioning is on demand: when no worker outgrew one
+  // table, the merge is one table and one task; otherwise every worker
+  // is split alike first. Each task records an "AggMerge" profile entry
+  // (rows = merged groups) so merge cost and partition skew are visible.
+  // A keyless aggregation still emits its single global row on empty
+  // input.
   bool any_split = false;
   for (const auto& ws : workers_) any_split |= ws->num_partitions() > 1;
-  const int P = any_split ? 1 << radix_bits_ : 1;
   if (any_split) {
     for (auto& ws : workers_) X100_RETURN_IF_ERROR(ws->Split());
   }
-  final_.clear();
-  for (int p = 0; p < P; p++) {
-    final_.push_back(std::make_unique<GroupTable>(
-        binding_.key_schema, binding_.kinds, binding_.in_types));
-  }
+  final_ = workers_[0]->TakeTables();
+  const int P = static_cast<int>(final_.size());
   if (binding_.bound_keys.empty()) final_[0]->EnsureGlobalGroup();
+  // The adopted tables' charge moves from the worker to final_mem_: the
+  // worker released it in TakeTables, so nothing is counted twice.
   final_mem_.clear();
   final_mem_.resize(P);
+  for (int p = 0; p < P; p++) {
+    final_mem_[p].Init(ctx_->memory);
+    final_mem_[p].ForceGrowTo(
+        static_cast<int64_t>(final_[p]->MemoryBytes()));
+  }
   X100_RETURN_IF_ERROR(RunPipelineTasks(
       sched, ctx_->quota, ctx_->cancel, P,
       [this](int p, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
         const auto t0 = std::chrono::steady_clock::now();
-        for (auto& ws : workers_) {
-          X100_RETURN_IF_ERROR(final_[p]->MergeFrom(*ws->table(p)));
+        for (size_t w = 0; w < workers_.size(); w++) {
+          if (w > 0) {
+            X100_RETURN_IF_ERROR(
+                final_[p]->MergeFrom(*workers_[w]->table(p)));
+          }
           // Merge-on-reload: chunks this worker spilled for partition p
           // rejoin the fold here, after the live table (order does not
           // matter — MergeFrom combines by aggregate kind).
           X100_RETURN_IF_ERROR(
-              ws->MergeSpilled(p, final_[p].get(), ctx_->cancel));
+              workers_[w]->MergeSpilled(p, final_[p].get(), ctx_->cancel));
         }
         // The merged partition must be resident to emit; the drain phase
         // is what spilling bounds. Released when the operator dies.
-        final_mem_[p].Init(ctx_->memory);
         final_mem_[p].ForceGrowTo(
             static_cast<int64_t>(final_[p]->MemoryBytes()));
         OperatorProfile prof;
@@ -1155,9 +1109,9 @@ Status ParallelHashAggOp::ParallelConsume() {
   return Status::OK();
 }
 
-Result<Batch*> ParallelHashAggOp::NextImpl() {
+Result<Batch*> HashAggOp::NextImpl() {
   if (!consumed_) {
-    X100_RETURN_IF_ERROR(ParallelConsume());
+    X100_RETURN_IF_ERROR(Consume());
     consumed_ = true;
   }
   X100_RETURN_IF_ERROR(ctx_->CheckCancel());

@@ -1,6 +1,5 @@
-// Hash group-by aggregation — serial and pipeline-parallel.
+// Hash group-by aggregation as a pipeline sink.
 //
-// The machinery is split so the pipeline executor can reuse it:
 //  * GroupTable      — group store (key rows + chained hash index + one
 //                      accumulator set per aggregate) with a vectorized
 //                      lookup, a direct map for small-domain keys, and an
@@ -9,11 +8,11 @@
 //  * AggWorkerState  — one worker chain's thread-local state: compiled
 //                      key/aggregate programs, the resolved update
 //                      kernels and private GroupTables.
-//  * HashAggOp       — the serial operator (one worker over one child).
-//  * ParallelHashAggOp — N cloned source chains drained by scheduler
-//                      tasks into per-worker GroupTables, merged at the
-//                      pipeline barrier (Leis-style morsel parallelism:
-//                      no partial/final plan rewrite, no exchange).
+//  * HashAggOp       — N source chains (N = the pipeline width, 1 for a
+//                      serial plan) drained by scheduler tasks into
+//                      per-worker GroupTables, merged at the pipeline
+//                      barrier (Leis-style morsel parallelism: no
+//                      partial/final plan rewrite, no exchange).
 //
 // Per vector, every step is one primitive over the whole vector (the X100
 // pattern): evaluate and hash the keys, resolve group ids (direct map, or
@@ -184,11 +183,9 @@ class GroupTable {
   std::vector<uint32_t> dm_comb_;  // scratch: combined code per row
 };
 
-/// One aggregation worker: a source chain plus the thread-local state that
-/// drains it (compiled programs, resolved kernels, scratch, private
-/// GroupTables). Used by both the serial operator (one worker, never
-/// partitioned) and the parallel one (N workers, each driven by a
-/// scheduler task, partitioned on demand).
+/// One aggregation worker: the thread-local state that drains one source
+/// chain (compiled programs, resolved kernels, scratch, private
+/// GroupTables), driven by a scheduler task and partitioned on demand.
 class AggWorkerState {
  public:
   /// Compiles programs, resolves the update kernels and allocates the
@@ -220,11 +217,14 @@ class AggWorkerState {
   /// 1 until the worker splits, then 2^radix_bits.
   int num_partitions() const { return static_cast<int>(tables_.size()); }
 
+  /// Hands the partition tables to the caller and releases their charge
+  /// (the caller re-charges them): the barrier adopts the first worker's
+  /// tables as the final tables instead of copying them.
+  std::vector<std::unique_ptr<GroupTable>> TakeTables();
+
   /// Reloads every chunk this worker spilled for `partition` and folds it
   /// into `dst` via MergeFrom — the merge-on-reload half of out-of-core
-  /// aggregation. Called at the pipeline barrier (parallel: by the
-  /// partition's merge task into the final table; serial: back into the
-  /// worker's own table).
+  /// aggregation, run by the partition's merge task at the barrier.
   Status MergeSpilled(int partition, GroupTable* dst,
                       CancellationToken* cancel) const;
 
@@ -232,12 +232,6 @@ class AggWorkerState {
   /// core (rows = groups spilled).
   void RecordSpillProfile(ExecContext* ctx) const;
 
-  /// Re-charges the reservation to the tables' current footprint with no
-  /// spill fallback — the post-barrier minimum working set (the serial
-  /// operator's reloaded table must be resident to emit).
-  void ForceChargeTables();
-
-  bool spilled() const { return spill_chunks_ > 0; }
 
  private:
   /// Grows the reservation to the tables' footprint; on failure spills
@@ -293,9 +287,8 @@ class AggWorkerState {
   int64_t spill_rows_ = 0;
 };
 
-/// Binding shared by the serial and parallel operators: resolves group-by
-/// and aggregate expressions against the input schema and derives the key
-/// and output schemas.
+/// Operator binding: resolves group-by and aggregate expressions against
+/// the input schema and derives the key and output schemas.
 struct AggBinding {
   Status Bind(const Schema& in, const std::vector<ProjectItem>& group_by,
               const std::vector<AggItem>& aggs);
@@ -308,12 +301,24 @@ struct AggBinding {
   std::vector<TypeId> in_types;
 };
 
+/// Hash aggregation, the sink of a scan→[probe→]aggregate pipeline. Each
+/// of the N source chains (clones sharing morsel sources and join build
+/// states underneath, or one chain over any input) is drained by a
+/// scheduler task into a per-worker GroupTable, split into 2^radix_bits
+/// partitions once the worker's groups outgrow kTinyBuildRows. At the
+/// TaskGroup barrier the first worker's tables become the final tables
+/// and each partition folds the other workers in with an independent
+/// scheduler task — one table and one merge task when no worker split —
+/// then groups stream out partition by partition. One chain therefore
+/// emits from the table it built.
 class HashAggOp : public Operator {
  public:
   /// `group_by`: expressions evaluated as grouping keys (usually column
-  /// refs); their names become output columns, followed by the aggregates.
-  HashAggOp(OperatorPtr child, std::vector<ProjectItem> group_by,
-            std::vector<AggItem> aggs);
+  /// refs); their names become output columns, followed by the
+  /// aggregates. A keyless aggregation never partitions.
+  HashAggOp(std::vector<OperatorPtr> chains,
+            std::vector<ProjectItem> group_by, std::vector<AggItem> aggs,
+            int radix_bits = 0);
   ~HashAggOp() override { Close(); }
 
   Status OpenImpl(ExecContext* ctx) override;
@@ -322,55 +327,14 @@ class HashAggOp : public Operator {
   const Schema& output_schema() const override {
     return binding_.out_schema;
   }
-  std::string name() const override { return "HashAgg"; }
-
-  int64_t num_groups() const {
-    return worker_.table() ? worker_.table()->num_groups() : 0;
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<ProjectItem> group_items_;
-  std::vector<AggItem> agg_items_;
-  AggBinding binding_;
-  Status init_status_;
-  ExecContext* ctx_ = nullptr;
-
-  AggWorkerState worker_;
-  bool consumed_ = false;
-  std::unique_ptr<Batch> out_;
-  int64_t emit_pos_ = 0;
-};
-
-/// Pipeline-parallel aggregation: the sink of a scan→[probe→]aggregate
-/// pipeline. Each of the N cloned source chains (sharing morsel sources
-/// and join build states underneath) is drained by a scheduler task into
-/// a per-worker GroupTable, split into 2^radix_bits partitions once the
-/// worker's groups outgrow kTinyBuildRows. At the TaskGroup barrier each
-/// partition is merged by an independent scheduler task — one table and
-/// one merge task when no worker split — then groups stream out
-/// partition by partition.
-class ParallelHashAggOp : public Operator {
- public:
-  ParallelHashAggOp(std::vector<OperatorPtr> chains,
-                    std::vector<ProjectItem> group_by,
-                    std::vector<AggItem> aggs, int radix_bits = 0);
-  ~ParallelHashAggOp() override { Close(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<Batch*> NextImpl() override;
-  void CloseImpl() override;
-  const Schema& output_schema() const override {
-    return binding_.out_schema;
-  }
   std::string name() const override {
-    return "ParallelHashAgg(" + std::to_string(chains_.size()) + ")";
+    return "HashAgg(" + std::to_string(chains_.size()) + ")";
   }
 
  private:
   /// Runs the pipeline: spawn tasks (bounded by the query's TaskQuota),
   /// barrier, then a per-partition merge fan-out into `final_`.
-  Status ParallelConsume();
+  Status Consume();
 
   std::vector<OperatorPtr> chains_;
   std::vector<ProjectItem> group_items_;
@@ -382,8 +346,8 @@ class ParallelHashAggOp : public Operator {
 
   std::vector<std::unique_ptr<AggWorkerState>> workers_;
   std::vector<std::unique_ptr<GroupTable>> final_;  // one per partition
-  /// Charges for the merged final tables (force-reserved: they must be
-  /// resident to emit; the drain phase is what spilling bounds).
+  /// Charges for the final tables (force-reserved: they must be resident
+  /// to emit; the drain phase is what spilling bounds).
   std::vector<MemoryReservation> final_mem_;
   bool consumed_ = false;
   std::unique_ptr<Batch> out_;

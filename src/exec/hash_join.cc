@@ -1342,43 +1342,6 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// HashJoinOp (serial facade)
-// ---------------------------------------------------------------------------
-
-HashJoinOp::HashJoinOp(OperatorPtr build, OperatorPtr probe,
-                       std::vector<int> build_keys,
-                       std::vector<int> probe_keys, JoinType type)
-    : probe_child_(std::move(probe)), type_(type) {
-  std::vector<OperatorPtr> chains;
-  chains.push_back(std::move(build));
-  state_ = std::make_shared<JoinBuildState>(std::move(chains),
-                                            std::move(build_keys));
-  state_->RegisterProber();
-  // Output schema known at construction (parents need it before Open).
-  out_schema_ = JoinOutputSchema(probe_child_->output_schema(),
-                                 state_->schema(), type_);
-  prober_.Init(state_.get(), std::move(probe_keys), type_,
-               &probe_child_->output_schema(), &out_schema_);
-}
-
-Status HashJoinOp::OpenImpl(ExecContext* ctx) {
-  ctx_ = ctx;
-  X100_RETURN_IF_ERROR(probe_child_->Open(ctx));
-  return prober_.Open(ctx);
-}
-
-void HashJoinOp::CloseImpl() {
-  if (probe_child_) probe_child_->Close();
-  if (state_) state_->CloseChains();
-  prober_.Close(ctx_);
-}
-
-Result<Batch*> HashJoinOp::NextImpl() {
-  X100_RETURN_IF_ERROR(state_->EnsureBuilt(ctx_));
-  return prober_.Next(probe_child_.get(), ctx_);
-}
-
-// ---------------------------------------------------------------------------
 // JoinProbeOp (pipeline worker)
 // ---------------------------------------------------------------------------
 

@@ -21,10 +21,8 @@
 // After the merge fan-out's barrier the table is immutable and any
 // number of probe pipelines read it concurrently:
 //  * JoinProbeOp  — one probe worker chain against the shared table; the
-//                   physical planner clones it per pipeline worker.
-//  * HashJoinOp   — the serial facade (single build chain, single probe
-//                   child) with the same semantics; used by tests and
-//                   directly-constructed plans.
+//                   physical planner clones it per pipeline worker. A
+//                   serial join is one JoinProbeOp over a one-chain build.
 //
 // Partition-wise (Grace) probe, docs/EXECUTION.md §"Partition-wise
 // probe": a merge task whose partition does not FIT the memory budget
@@ -108,7 +106,7 @@ class JoinBuildState {
   };
 
   /// `radix_bits` = 0 keeps the single-table path (one partition, one
-  /// merge task) — the fallback for serial plans and tiny builds.
+  /// merge task) — the fallback for width-1 plans and tiny builds.
   /// `estimated_rows` (>= 0) is the planner's scan-spine bound on the
   /// build cardinality; with `allow_radix_resize` (AUTO radix sizing),
   /// a drain observing >= kRadixResizeFactor x the estimate re-sizes the
@@ -372,37 +370,11 @@ class JoinProber {
 Schema JoinOutputSchema(const Schema& probe, const Schema& build,
                         JoinType type);
 
-/// Serial hash join: owns both children; the build side still executes as
-/// a scheduler task (single-chain build pipeline).
-class HashJoinOp : public Operator {
- public:
-  /// Keys are column indexes into the respective child schemas.
-  HashJoinOp(OperatorPtr build, OperatorPtr probe,
-             std::vector<int> build_keys, std::vector<int> probe_keys,
-             JoinType type);
-  ~HashJoinOp() override { Close(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<Batch*> NextImpl() override;
-  void CloseImpl() override;
-  const Schema& output_schema() const override { return out_schema_; }
-  std::string name() const override {
-    return std::string("HashJoin[") + JoinTypeName(type_) + "]";
-  }
-
- private:
-  OperatorPtr probe_child_;
-  JoinType type_;
-  Schema out_schema_;
-  ExecContext* ctx_ = nullptr;
-  JoinBuildStatePtr state_;
-  JoinProber prober_;
-};
-
 /// One probe pipeline worker: probes the shared build table with its own
-/// cloned source chain. The planner creates N of these per parallel join,
+/// source chain. The planner creates N of these per parallel join,
 /// embedded in the worker chains of the pipeline's sink (aggregation,
-/// sort, or an exchange union at the plan root).
+/// sort, or an exchange union at the plan root), and one for a serial
+/// join.
 class JoinProbeOp : public Operator {
  public:
   JoinProbeOp(OperatorPtr probe, JoinBuildStatePtr state,

@@ -7,16 +7,6 @@
 
 namespace x100 {
 
-SortOp::SortOp(OperatorPtr child, std::vector<SortKey> keys, int64_t limit)
-    : child_(std::move(child)), keys_(std::move(keys)), limit_(limit) {}
-
-Status SortOp::OpenImpl(ExecContext* ctx) {
-  ctx_ = ctx;
-  X100_RETURN_IF_ERROR(child_->Open(ctx));
-  out_ = std::make_unique<Batch>(child_->output_schema(), ctx->vector_size);
-  return Status::OK();
-}
-
 namespace {
 
 /// Rows per spilled-run chunk: large enough to amortize the per-chunk
@@ -297,60 +287,17 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
 // SortOp
 // ---------------------------------------------------------------------------
 
-Status SortOp::Materialize() {
-  rows_ = std::make_unique<RowBuffer>(child_->output_schema());
-  rows_mem_.Init(ctx_->memory);
-  RunBuildState st;
-  st.schema = &child_->output_schema();
-  st.keys = &keys_;
-  st.limit = limit_;
-  st.ctx = ctx_;
-  st.buffer = &rows_;
-  st.reserv = &rows_mem_;
-  while (true) {
-    X100_RETURN_IF_ERROR(ctx_->CheckCancel());
-    Batch* b;
-    X100_ASSIGN_OR_RETURN(b, child_->Next());
-    if (b == nullptr) break;
-    X100_RETURN_IF_ERROR(st.Append(*b));
-  }
-  runs_ = std::move(st.spilled_runs);
-  SortRun resident;
-  if (st.FinishResident(&resident)) runs_.push_back(std::move(resident));
-  st.RecordProfile();
-  X100_RETURN_IF_ERROR(merger_.Init(&child_->output_schema(), &keys_,
-                                    limit_, ctx_, &runs_));
-  materialized_ = true;
-  return Status::OK();
-}
-
-Result<Batch*> SortOp::NextImpl() {
-  if (!materialized_) X100_RETURN_IF_ERROR(Materialize());
-  X100_RETURN_IF_ERROR(ctx_->CheckCancel());
-  out_->Reset();
-  int n;
-  X100_RETURN_IF_ERROR(merger_.NextBatch(out_.get(), &n));
-  if (n == 0) return nullptr;
-  out_->set_rows(n);
-  return out_.get();
-}
-
-// ---------------------------------------------------------------------------
-// ParallelSortOp
-// ---------------------------------------------------------------------------
-
-ParallelSortOp::ParallelSortOp(std::vector<OperatorPtr> chains,
-                               std::vector<SortKey> keys, int64_t limit,
-                               int split_ways)
+SortOp::SortOp(std::vector<OperatorPtr> chains, std::vector<SortKey> keys,
+               int64_t limit, int split_ways)
     : chains_(std::move(chains)),
       keys_(std::move(keys)),
       limit_(limit),
       split_ways_(split_ways < 1 ? 1 : split_ways) {}
 
-Status ParallelSortOp::OpenImpl(ExecContext* ctx) {
+Status SortOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
   if (chains_.empty()) {
-    return Status::InvalidArgument("parallel sort needs >= 1 input chain");
+    return Status::InvalidArgument("sort needs >= 1 input chain");
   }
   // Chains open inside their pipeline tasks, not here.
   out_ = std::make_unique<Batch>(chains_[0]->output_schema(),
@@ -358,128 +305,90 @@ Status ParallelSortOp::OpenImpl(ExecContext* ctx) {
   return Status::OK();
 }
 
-void ParallelSortOp::CloseImpl() {
+void SortOp::CloseImpl() {
   for (OperatorPtr& c : chains_) {
     if (c) c->Close();
   }
 }
 
-Status ParallelSortOp::ParallelMaterialize() {
+Status SortOp::Materialize() {
   TaskScheduler* sched =
       ctx_->scheduler != nullptr ? ctx_->scheduler : TaskScheduler::Global();
   const int W = static_cast<int>(chains_.size());
   const Schema& schema = chains_[0]->output_schema();
   buffers_.clear();
+  buffers_.resize(W);
   buffer_mem_.clear();
+  buffer_mem_.resize(W);
   runs_.clear();
 
-  if (W > 1) {
-    // Shape 1: one run builder per cloned input chain; each task drains
-    // and sorts its own run (the input pipeline and the sort overlap),
-    // spilling sorted runs when its reservation fails.
-    buffers_.resize(W);
-    buffer_mem_.resize(W);
-    std::vector<std::vector<SortRun>> worker_runs(W);
+  // One run builder per input chain: each task drains its chain, spilling
+  // sorted runs when its reservation fails, and sorts what stays resident
+  // (the input pipeline and the sort overlap). A single chain that
+  // spilled nothing leaves its rows unsorted for the range split below.
+  std::vector<std::vector<SortRun>> worker_runs(W);
+  X100_RETURN_IF_ERROR(RunPipelineTasks(
+      sched, ctx_->quota, ctx_->cancel, W,
+      [this, W, &schema, &worker_runs](int w, TaskGroup& group) -> Status {
+        X100_RETURN_IF_ERROR(group.CheckCancel());
+        buffers_[w] = std::make_unique<RowBuffer>(schema);
+        buffer_mem_[w].Init(ctx_->memory);
+        RunBuildState st;
+        st.schema = &schema;
+        st.keys = &keys_;
+        st.limit = limit_;
+        st.ctx = ctx_;
+        st.buffer = &buffers_[w];
+        st.reserv = &buffer_mem_[w];
+        Operator* chain = chains_[w].get();
+        Status s = chain->Open(ctx_);
+        while (s.ok()) {
+          s = group.CheckCancel();
+          if (!s.ok()) break;
+          auto b = chain->Next();
+          if (!b.ok()) {
+            s = b.status();
+            break;
+          }
+          if (*b == nullptr) break;
+          s = st.Append(**b);
+        }
+        chain->Close();
+        X100_RETURN_IF_ERROR(s);
+        st.RecordProfile();
+        worker_runs[w] = std::move(st.spilled_runs);
+        if (W == 1 && worker_runs[w].empty()) return Status::OK();
+        SortRun resident;
+        if (st.FinishResident(&resident)) {
+          worker_runs[w].push_back(std::move(resident));
+        }
+        return Status::OK();
+      }));
+  for (std::vector<SortRun>& wr : worker_runs) {
+    for (SortRun& r : wr) runs_.push_back(std::move(r));
+  }
+
+  if (W == 1 && runs_.empty()) {
+    // One materialized input: range-split it across sort tasks. (Once
+    // anything spilled, range splitting is moot — the merge is streaming
+    // anyway — so the drain task already made the remainder one run.)
+    const int64_t n = buffers_[0]->rows();
+    // Don't spawn more range tasks than vectors of data to sort.
+    const int ways = static_cast<int>(std::max<int64_t>(
+        1, std::min<int64_t>(split_ways_, (n + 1023) / 1024)));
+    runs_.resize(ways);
     X100_RETURN_IF_ERROR(RunPipelineTasks(
-        sched, ctx_->quota, ctx_->cancel, W,
-        [this, &schema, &worker_runs](int w, TaskGroup& group) -> Status {
+        sched, ctx_->quota, ctx_->cancel, ways,
+        [this, n, ways](int r, TaskGroup& group) -> Status {
           X100_RETURN_IF_ERROR(group.CheckCancel());
-          buffers_[w] = std::make_unique<RowBuffer>(schema);
-          buffer_mem_[w].Init(ctx_->memory);
-          RunBuildState st;
-          st.schema = &schema;
-          st.keys = &keys_;
-          st.limit = limit_;
-          st.ctx = ctx_;
-          st.buffer = &buffers_[w];
-          st.reserv = &buffer_mem_[w];
-          Operator* chain = chains_[w].get();
-          Status s = chain->Open(ctx_);
-          while (s.ok()) {
-            s = group.CheckCancel();
-            if (!s.ok()) break;
-            auto b = chain->Next();
-            if (!b.ok()) {
-              s = b.status();
-              break;
-            }
-            if (*b == nullptr) break;
-            s = st.Append(**b);
-          }
-          chain->Close();
-          X100_RETURN_IF_ERROR(s);
-          worker_runs[w] = std::move(st.spilled_runs);
-          SortRun resident;
-          if (st.FinishResident(&resident)) {
-            worker_runs[w].push_back(std::move(resident));
-          }
-          st.RecordProfile();
+          const int64_t lo = n * r / ways, hi = n * (r + 1) / ways;
+          SortRun& run = runs_[r];
+          run.rows = buffers_[0].get();
+          run.order.resize(hi - lo);
+          for (int64_t i = lo; i < hi; i++) run.order[i - lo] = i;
+          SortIndexRun(*buffers_[0], keys_, limit_, &run.order);
           return Status::OK();
         }));
-    for (std::vector<SortRun>& wr : worker_runs) {
-      for (SortRun& r : wr) runs_.push_back(std::move(r));
-    }
-  } else {
-    // Shape 2: non-clonable input (e.g. an aggregation). One task drains
-    // it — spilling sorted runs under memory pressure — then the
-    // materialized remainder is range-split across sort tasks. Once
-    // anything spilled, range splitting is moot (the merge is streaming
-    // anyway), so the remainder becomes a single sorted run.
-    buffers_.resize(1);
-    buffer_mem_.resize(1);
-    buffers_[0] = std::make_unique<RowBuffer>(schema);
-    buffer_mem_[0].Init(ctx_->memory);
-    RunBuildState st;
-    st.schema = &schema;
-    st.keys = &keys_;
-    st.limit = limit_;
-    st.ctx = ctx_;
-    st.buffer = &buffers_[0];
-    st.reserv = &buffer_mem_[0];
-    X100_RETURN_IF_ERROR(RunPipelineTasks(
-        sched, ctx_->quota, ctx_->cancel, 1,
-        [this, &st](int, TaskGroup& group) -> Status {
-          Operator* chain = chains_[0].get();
-          Status s = chain->Open(ctx_);
-          while (s.ok()) {
-            s = group.CheckCancel();
-            if (!s.ok()) break;
-            auto b = chain->Next();
-            if (!b.ok()) {
-              s = b.status();
-              break;
-            }
-            if (*b == nullptr) break;
-            s = st.Append(**b);
-          }
-          chain->Close();
-          return s;
-        }));
-    if (!st.spilled_runs.empty()) {
-      runs_ = std::move(st.spilled_runs);
-      SortRun resident;
-      if (st.FinishResident(&resident)) runs_.push_back(std::move(resident));
-      st.RecordProfile();
-    } else {
-      const int64_t n = buffers_[0]->rows();
-      // Don't spawn more range tasks than vectors of data to sort.
-      const int ways = static_cast<int>(
-          std::max<int64_t>(1, std::min<int64_t>(split_ways_,
-                                                 (n + 1023) / 1024)));
-      runs_.resize(ways);
-      X100_RETURN_IF_ERROR(RunPipelineTasks(
-          sched, ctx_->quota, ctx_->cancel, ways,
-          [this, n, ways](int r, TaskGroup& group) -> Status {
-            X100_RETURN_IF_ERROR(group.CheckCancel());
-            const int64_t lo = n * r / ways, hi = n * (r + 1) / ways;
-            SortRun& run = runs_[r];
-            run.rows = buffers_[0].get();
-            run.order.resize(hi - lo);
-            for (int64_t i = lo; i < hi; i++) run.order[i - lo] = i;
-            SortIndexRun(*buffers_[0], keys_, limit_, &run.order);
-            return Status::OK();
-          }));
-    }
   }
 
   X100_RETURN_IF_ERROR(
@@ -488,8 +397,8 @@ Status ParallelSortOp::ParallelMaterialize() {
   return Status::OK();
 }
 
-Result<Batch*> ParallelSortOp::NextImpl() {
-  if (!materialized_) X100_RETURN_IF_ERROR(ParallelMaterialize());
+Result<Batch*> SortOp::NextImpl() {
+  if (!materialized_) X100_RETURN_IF_ERROR(Materialize());
   X100_RETURN_IF_ERROR(ctx_->CheckCancel());
   out_->Reset();
   int n;

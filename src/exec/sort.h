@@ -1,14 +1,14 @@
-// SortOp / ParallelSortOp: full materializing sort and bounded top-N.
-// NULLs order last ascending, first descending (documented engine rule).
+// SortOp: full materializing sort and bounded top-N, the pipeline-
+// executor sink for ORDER BY. NULLs order last ascending, first
+// descending (documented engine rule).
 //
-// ParallelSortOp is the pipeline-executor sink for ORDER BY: per-worker
-// sorted runs built by scheduler tasks, merged at the pipeline barrier
-// (docs/EXECUTION.md). Two shapes:
+// Per-worker sorted runs are built by scheduler tasks and merged at the
+// pipeline barrier (docs/EXECUTION.md):
 //  * N cloned input chains (morsel-parallel input): each task drains and
 //    sorts its own run.
-//  * one non-clonable input (e.g. an aggregation's output): one task
-//    drains it, then the materialized rows are range-split and sorted by
-//    parallel tasks.
+//  * one input chain (a serial plan, or a non-clonable input such as an
+//    aggregation's output): one task drains it, then the materialized
+//    rows are range-split and sorted by `split_ways` parallel tasks.
 // A LIMIT truncates each run to the limit before the merge, so top-N never
 // materializes more than runs x limit rows for the merge phase.
 //
@@ -52,12 +52,12 @@ struct SortRun {
   bool spilled() const { return !chunks.empty(); }
 };
 
-/// Streaming k-way merge over sorted runs, shared by SortOp and
-/// ParallelSortOp. Ties pick the lowest run index; runs are few, so
-/// linear selection beats a heap in simplicity and is cache-friendly for
-/// small k. Spilled runs stream chunk-by-chunk from disk; the resident
-/// chunk is force-charged against the query tracker and released when the
-/// cursor advances past it.
+/// Streaming k-way merge over sorted runs (SortOp's emit phase). Ties
+/// pick the lowest run index; runs are few, so linear selection beats a
+/// heap in simplicity and is cache-friendly for small k. Spilled runs
+/// stream chunk-by-chunk from disk; the resident chunk is force-charged
+/// against the query tracker and released when the cursor advances past
+/// it.
 class SortRunMerger {
  public:
   /// `limit` < 0: merge everything; otherwise stop after `limit` rows.
@@ -94,47 +94,18 @@ class SortRunMerger {
   std::vector<Cursor> cursors_;
 };
 
+/// Materializing sort and bounded top-N: run-per-chain, k-way merge at
+/// the barrier.
 class SortOp : public Operator {
  public:
-  /// limit < 0: full sort; otherwise top-`limit` rows.
-  SortOp(OperatorPtr child, std::vector<SortKey> keys, int64_t limit = -1);
+  /// `chains`: >= 1 input chains (clones sharing morsel sources / join
+  /// build states underneath). With a single chain, `split_ways` controls
+  /// how many range-sort tasks run after materialization; with multiple
+  /// chains it is ignored (one run per chain). limit < 0: full sort;
+  /// otherwise top-`limit` rows.
+  SortOp(std::vector<OperatorPtr> chains, std::vector<SortKey> keys,
+         int64_t limit = -1, int split_ways = 1);
   ~SortOp() override { Close(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<Batch*> NextImpl() override;
-  void CloseImpl() override { if (child_) child_->Close(); }
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string name() const override {
-    return limit_ < 0 ? "Sort" : "TopN";
-  }
-
- private:
-  Status Materialize();
-
-  OperatorPtr child_;
-  std::vector<SortKey> keys_;
-  int64_t limit_;
-  ExecContext* ctx_ = nullptr;
-  std::unique_ptr<RowBuffer> rows_;
-  MemoryReservation rows_mem_;
-  std::vector<SortRun> runs_;
-  SortRunMerger merger_;
-  bool materialized_ = false;
-  std::unique_ptr<Batch> out_;
-};
-
-/// Pipeline-parallel sort: run-per-worker, k-way merge at the barrier.
-class ParallelSortOp : public Operator {
- public:
-  /// `chains`: >= 1 input worker chains (clones sharing morsel sources /
-  /// join build states underneath). With a single chain, `split_ways`
-  /// controls how many range-sort tasks run after materialization; with
-  /// multiple chains it is ignored (one run per chain).
-  ParallelSortOp(std::vector<OperatorPtr> chains, std::vector<SortKey> keys,
-                 int64_t limit = -1, int split_ways = 1);
-  ~ParallelSortOp() override { Close(); }
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<Batch*> NextImpl() override;
@@ -143,8 +114,8 @@ class ParallelSortOp : public Operator {
     return chains_[0]->output_schema();
   }
   std::string name() const override {
-    return (limit_ < 0 ? "ParallelSort(" : "ParallelTopN(") +
-           std::to_string(num_runs()) + ")";
+    return (limit_ < 0 ? "Sort(" : "TopN(") + std::to_string(num_runs()) +
+           ")";
   }
 
  private:
@@ -159,7 +130,7 @@ class ParallelSortOp : public Operator {
   /// Phase 1: drain input(s) into per-run buffers + sorted index runs
   /// (scheduler tasks, barrier), spilling sorted runs under memory
   /// pressure. Phase 2 is the streaming merge in NextImpl.
-  Status ParallelMaterialize();
+  Status Materialize();
 
   std::vector<OperatorPtr> chains_;
   std::vector<SortKey> keys_;

@@ -23,7 +23,7 @@ namespace x100 {
 /// parallelism and its partition skew are visible — ToString's max(us)
 /// column is the slowest instance, i.e. the merge's critical path.
 struct OperatorProfile {
-  std::string op;        // operator display name, e.g. "HashJoin[inner]"
+  std::string op;        // operator display name, e.g. "JoinProbe[inner]"
   int64_t batches = 0;   // non-empty batches produced
   int64_t rows = 0;      // active rows produced (selection-aware)
   int64_t open_ns = 0;   // wall time inside Open (pipeline breakers build)

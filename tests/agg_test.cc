@@ -367,8 +367,8 @@ Result<QueryResult> RunOneChain(const std::vector<std::vector<Value>>& rows,
                                {AggKind::kAvg, Col("x"), "a"},
                                {AggKind::kMin, Col("x"), "lo"},
                                {AggKind::kCount, nullptr, "n"}};
-  ParallelHashAggOp op(std::move(chains), {{"k", Col("k")}}, std::move(aggs),
-                       radix_bits);
+  HashAggOp op(std::move(chains), {{"k", Col("k")}}, std::move(aggs),
+               radix_bits);
   ExecContext ctx;
   ctx.simd = simd;
   return CollectRows(&op, &ctx);

@@ -262,28 +262,42 @@ TEST(TaskSchedulerTest, SingleWorkerCannotDeadlockJoiner) {
 
 TEST(TaskSchedulerTest, StealsFromBusyWorker) {
   TaskScheduler pool(2);
-  // Block one worker, then enqueue many quick tasks: the other worker
-  // must steal the ones round-robined onto the blocked worker's deque.
+  // Block one worker, then enqueue many quick tasks: submission alternates
+  // between the two deques, so half of them queue on the blocked worker's
+  // deque and the other worker must steal them. The quick tasks are
+  // spawned only once the blocker runs — otherwise a worker could drain
+  // its own deque first and then steal the blocker, whose steal is
+  // counted only when it returns, leaving every quick task to its home
+  // worker.
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   std::atomic<int> done{0};
   TaskGroup group(&pool);
   group.Spawn([&] {
+    started.store(true);
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return Status::OK();
   });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!started.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(started.load());
   for (int i = 0; i < 40; i++) {
     group.Spawn([&] {
       done.fetch_add(1);
       return Status::OK();
     });
   }
-  // Wait for the quick tasks while one worker is still blocked. The main
-  // thread does NOT help here, to force cross-worker stealing.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (done.load() < 40 && std::chrono::steady_clock::now() < deadline) {
+  // Wait for the quick tasks and a counted steal (a steal is counted
+  // after the stolen task returns) while the blocker still holds its
+  // worker. The main thread does NOT help here, to force cross-worker
+  // stealing.
+  while ((done.load() < 40 || pool.tasks_stolen() < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(done.load(), 40);
@@ -347,6 +361,55 @@ TEST(TaskGroupTest, DestructorJoinsOutstandingTasks) {
   const int after = done.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(done.load(), after);  // nothing ran after destruction
+}
+
+// A one-item pipeline runs on the calling thread, so a width-1 chain stays
+// inside its sink's Next; it still takes a quota slot and honours
+// cancellation like a spawned task.
+TEST(RunPipelineTasksTest, SingleTaskRunsOnCallingThread) {
+  TaskScheduler pool(2);
+  TaskQuota quota(4);
+  const int before = quota.in_use();
+  std::thread::id ran_on;
+  int in_use_inside = -1;
+  const Status s = RunPipelineTasks(
+      &pool, &quota, nullptr, 1, [&](int i, TaskGroup&) -> Status {
+        EXPECT_EQ(i, 0);
+        ran_on = std::this_thread::get_id();
+        in_use_inside = quota.in_use();
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(in_use_inside, before + 1);
+  EXPECT_EQ(quota.in_use(), before);
+  EXPECT_EQ(pool.tasks_run(), 0);
+}
+
+TEST(RunPipelineTasksTest, SingleTaskSkippedWhenAlreadyCancelled) {
+  TaskScheduler pool(1);
+  TaskQuota quota(4);
+  CancellationToken token;
+  token.Cancel();
+  bool ran = false;
+  const Status s = RunPipelineTasks(
+      &pool, &quota, &token, 1, [&](int, TaskGroup&) -> Status {
+        ran = true;
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.IsCancelled());
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(quota.in_use(), 0);
+}
+
+TEST(RunPipelineTasksTest, SingleTaskErrorReleasesQuota) {
+  TaskScheduler pool(1);
+  TaskQuota quota(4);
+  const Status s = RunPipelineTasks(
+      &pool, &quota, nullptr, 1,
+      [](int, TaskGroup&) -> Status { return Status::IoError("disk gone"); });
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(quota.in_use(), 0);
 }
 
 }  // namespace

@@ -456,7 +456,7 @@ TEST_F(SessionTest, QueryResultCarriesOperatorProfile) {
       scans++;
       scan_rows += p.rows;
     }
-    saw_parallel_agg |= p.op == "ParallelHashAgg(2)";
+    saw_parallel_agg |= p.op == "HashAgg(2)";
   }
   EXPECT_EQ(scans, 2);  // one per pipeline worker chain
   EXPECT_TRUE(saw_parallel_agg);
@@ -484,15 +484,16 @@ TEST_F(SessionTest, PhysicalPlannerIsPluggable) {
       [hits](const AlgebraPtr& node, PlannerContext* pc,
              const PhysicalPlanner* planner) -> Result<OperatorPtr> {
         (*hits)++;
-        OperatorPtr child;
-        X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
+        std::vector<OperatorPtr> chains(1);
+        X100_ASSIGN_OR_RETURN(chains[0],
+                              planner->Build(node->children[0], pc));
         std::vector<SortKey> keys;
         for (const AlgebraNode::OrderKey& k : node->order_keys) {
-          keys.push_back({child->output_schema().FindField(k.column),
+          keys.push_back({chains[0]->output_schema().FindField(k.column),
                           k.ascending});
         }
         return OperatorPtr(std::make_unique<SortOp>(
-            std::move(child), std::move(keys), node->limit));
+            std::move(chains), std::move(keys), node->limit));
       });
   session_->executor()->set_planner(&custom);
   auto res = session_->ExecuteSql(

@@ -15,6 +15,7 @@
 #include "exec/select_project.h"
 #include "exec/sort.h"
 #include "exec/values.h"
+#include "test_plans.h"
 #include "common/task_scheduler.h"
 #include "pdt/transaction.h"
 #include "storage/morsel.h"
@@ -266,10 +267,10 @@ std::vector<Value> RN(const char* v) {
 TEST(HashJoinTest, InnerJoinMatchesAndDuplicates) {
   JoinFixture f;
   // build: right, probe: left.
-  HashJoinOp join(f.Right({R(1, "r1"), R(2, "r2"), R(2, "r2b")}),
-                  f.Left({R(1, "l1"), R(2, "l2"), R(3, "l3")}),
-                  {0}, {0}, JoinType::kInner);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(1, "r1"), R(2, "r2"), R(2, "r2b")}),
+                         f.Left({R(1, "l1"), R(2, "l2"), R(3, "l3")}),
+                         {0}, {0}, JoinType::kInner);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   // 1 match for k=1, 2 for k=2, 0 for k=3.
   ASSERT_EQ(res->rows.size(), 3u);
@@ -278,10 +279,10 @@ TEST(HashJoinTest, InnerJoinMatchesAndDuplicates) {
 
 TEST(HashJoinTest, InnerJoinNullKeysNeverMatch) {
   JoinFixture f;
-  HashJoinOp join(f.Right({R(1, "r1"), RN("rnull")}),
-                  f.Left({R(1, "l1"), RN("lnull")}), {0}, {0},
-                  JoinType::kInner);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(1, "r1"), RN("rnull")}),
+                         f.Left({R(1, "l1"), RN("lnull")}), {0}, {0},
+                         JoinType::kInner);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 1u);
   EXPECT_EQ(res->rows[0][1].AsStr(), "l1");
@@ -289,10 +290,10 @@ TEST(HashJoinTest, InnerJoinNullKeysNeverMatch) {
 
 TEST(HashJoinTest, LeftOuterEmitsNullPaddedRows) {
   JoinFixture f;
-  HashJoinOp join(f.Right({R(1, "r1")}),
-                  f.Left({R(1, "l1"), R(7, "l7")}), {0}, {0},
-                  JoinType::kLeftOuter);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(1, "r1")}),
+                         f.Left({R(1, "l1"), R(7, "l7")}), {0}, {0},
+                         JoinType::kLeftOuter);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 2u);
   // Unmatched l7: build side NULL.
@@ -309,10 +310,10 @@ TEST(HashJoinTest, LeftOuterEmitsNullPaddedRows) {
 
 TEST(HashJoinTest, SemiJoinEmitsEachProbeOnce) {
   JoinFixture f;
-  HashJoinOp join(f.Right({R(2, "a"), R(2, "b")}),
-                  f.Left({R(2, "l2"), R(3, "l3")}), {0}, {0},
-                  JoinType::kSemi);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(2, "a"), R(2, "b")}),
+                         f.Left({R(2, "l2"), R(3, "l3")}), {0}, {0},
+                         JoinType::kSemi);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 1u);
   EXPECT_EQ(res->rows[0][1].AsStr(), "l2");
@@ -323,10 +324,11 @@ TEST(HashJoinTest, SemiJoinEmitsEachProbeOnce) {
 TEST(HashJoinTest, AntiJoinNotExistsSemantics) {
   JoinFixture f;
   // NOT EXISTS(rk = lk): NULL probe keys survive (no match possible).
-  HashJoinOp join(f.Right({R(1, "r1"), RN("rnull")}),
-                  f.Left({R(1, "l1"), R(5, "l5"), RN("lnull")}), {0}, {0},
-                  JoinType::kAnti);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(1, "r1"), RN("rnull")}),
+                         f.Left({R(1, "l1"), R(5, "l5"), RN("lnull")}),
+                         {0}, {0},
+                         JoinType::kAnti);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 2u);
   EXPECT_EQ(res->rows[0][1].AsStr(), "l5");
@@ -337,10 +339,11 @@ TEST(HashJoinTest, AntiJoinNotInNullProbeDropped) {
   JoinFixture f;
   // NOT IN over a build side *without* NULLs: NULL probe keys are dropped
   // (x NOT IN S is UNKNOWN when x is NULL).
-  HashJoinOp join(f.Right({R(1, "r1")}),
-                  f.Left({R(1, "l1"), R(5, "l5"), RN("lnull")}), {0}, {0},
-                  JoinType::kAntiNullAware);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(1, "r1")}),
+                         f.Left({R(1, "l1"), R(5, "l5"), RN("lnull")}),
+                         {0}, {0},
+                         JoinType::kAntiNullAware);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 1u);
   EXPECT_EQ(res->rows[0][1].AsStr(), "l5");
@@ -349,10 +352,10 @@ TEST(HashJoinTest, AntiJoinNotInNullProbeDropped) {
 TEST(HashJoinTest, AntiJoinNotInNullBuildPoisonsAll) {
   JoinFixture f;
   // NOT IN over a build side *with* a NULL: no probe row can qualify.
-  HashJoinOp join(f.Right({R(1, "r1"), RN("rnull")}),
-                  f.Left({R(1, "l1"), R(5, "l5")}), {0}, {0},
-                  JoinType::kAntiNullAware);
-  auto res = CollectRows(&join, &f.ctx);
+  auto join = SerialJoin(f.Right({R(1, "r1"), RN("rnull")}),
+                         f.Left({R(1, "l1"), R(5, "l5")}), {0}, {0},
+                         JoinType::kAntiNullAware);
+  auto res = CollectRows(join.get(), &f.ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows.size(), 0u);
 }
@@ -368,9 +371,9 @@ TEST(HashJoinTest, MultiColumnKeys) {
       two, std::vector<std::vector<Value>>{
                {Value::I64(1), Value::Str("x")},
                {Value::I64(1), Value::Str("z")}});
-  HashJoinOp join(std::move(build), std::move(probe), {0, 1}, {0, 1},
-                  JoinType::kInner);
-  auto res = CollectRows(&join, &ctx);
+  auto join = SerialJoin(std::move(build), std::move(probe), {0, 1}, {0, 1},
+                         JoinType::kInner);
+  auto res = CollectRows(join.get(), &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 1u);
   EXPECT_EQ(res->rows[0][1].AsStr(), "x");
@@ -389,9 +392,9 @@ TEST(HashJoinTest, OutputOverflowResumesCorrectly) {
   auto build = std::make_unique<ValuesOp>(s, std::move(build_rows));
   auto probe = std::make_unique<ValuesOp>(
       s, std::vector<std::vector<Value>>{{Value::I64(42), Value::I64(-1)}});
-  HashJoinOp join(std::move(build), std::move(probe), {0}, {0},
-                  JoinType::kInner);
-  auto res = CollectRows(&join, &ctx);
+  auto join = SerialJoin(std::move(build), std::move(probe), {0}, {0},
+                         JoinType::kInner);
+  auto res = CollectRows(join.get(), &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows.size(), 5000u);
 }
@@ -418,7 +421,8 @@ TEST(HashAggTest, GroupByWithAllAggregates) {
   aggs.push_back({AggKind::kMin, Col("x"), "min_x"});
   aggs.push_back({AggKind::kMax, Col("x"), "max_x"});
   aggs.push_back({AggKind::kAvg, Col("x"), "avg_x"});
-  HashAggOp agg(std::move(values), std::move(keys), std::move(aggs));
+  HashAggOp agg(OneChain(std::move(values)), std::move(keys),
+                std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 2u);
@@ -444,7 +448,7 @@ TEST(HashAggTest, GlobalAggregateOnEmptyInput) {
   std::vector<AggItem> aggs;
   aggs.push_back({AggKind::kCount, nullptr, "cnt"});
   aggs.push_back({AggKind::kSum, Col("x"), "sum_x"});
-  HashAggOp agg(std::move(values), {}, std::move(aggs));
+  HashAggOp agg(OneChain(std::move(values)), {}, std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 1u);
@@ -462,7 +466,7 @@ TEST(HashAggTest, NullInputsSkipped) {
   std::vector<AggItem> aggs;
   aggs.push_back({AggKind::kCount, Col("x"), "cnt_x"});
   aggs.push_back({AggKind::kAvg, Col("x"), "avg_x"});
-  HashAggOp agg(std::move(values), {}, std::move(aggs));
+  HashAggOp agg(OneChain(std::move(values)), {}, std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows[0][0].AsI64(), 2);  // COUNT(x) skips NULL
@@ -481,7 +485,8 @@ TEST(HashAggTest, NullGroupKeysFormOneGroup) {
   keys.push_back({"g", Col("g")});
   std::vector<AggItem> aggs;
   aggs.push_back({AggKind::kSum, Col("x"), "s"});
-  HashAggOp agg(std::move(values), std::move(keys), std::move(aggs));
+  HashAggOp agg(OneChain(std::move(values)), std::move(keys),
+                std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 2u);  // NULL group + group 1
@@ -500,7 +505,8 @@ TEST(HashAggTest, ManyGroupsTriggerRehash) {
   keys.push_back({"g", Col("g")});
   std::vector<AggItem> aggs;
   aggs.push_back({AggKind::kCount, nullptr, "c"});
-  HashAggOp agg(std::move(values), std::move(keys), std::move(aggs));
+  HashAggOp agg(OneChain(std::move(values)), std::move(keys),
+                std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows.size(), 2000u);
@@ -519,7 +525,7 @@ TEST(SortOpTest, MultiKeyWithDirections) {
              {Value::I64(1), Value::Str("b")},
              {Value::I64(2), Value::Str("a")},
              {Value::I64(1), Value::Str("a")}});
-  SortOp sort(std::move(values), {{0, true}, {1, false}});
+  SortOp sort(OneChain(std::move(values)), {{0, true}, {1, false}});
   auto res = CollectRows(&sort, &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 4u);
@@ -535,7 +541,7 @@ TEST(SortOpTest, NullsSortLastAscending) {
       s, std::vector<std::vector<Value>>{{Value::Null(TypeId::kI64)},
                                          {Value::I64(2)},
                                          {Value::I64(1)}});
-  SortOp sort(std::move(values), {{0, true}});
+  SortOp sort(OneChain(std::move(values)), {{0, true}});
   auto res = CollectRows(&sort, &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows[0][0].AsI64(), 1);
@@ -548,7 +554,7 @@ TEST(SortOpTest, TopNLimitsOutput) {
   std::vector<std::vector<Value>> rows;
   for (int i = 0; i < 1000; i++) rows.push_back({Value::I64((i * 37) % 997)});
   auto values = std::make_unique<ValuesOp>(s, std::move(rows));
-  SortOp sort(std::move(values), {{0, false}}, 5);
+  SortOp sort(OneChain(std::move(values)), {{0, false}}, 5);
   auto res = CollectRows(&sort, &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), 5u);
@@ -674,7 +680,7 @@ TEST_F(ScanTest, PipelineScanSelectProjectAgg) {
   std::vector<AggItem> aggs;
   aggs.push_back({AggKind::kCount, nullptr, "cnt"});
   aggs.push_back({AggKind::kSum, Col("id"), "sum_id"});
-  HashAggOp agg(std::move(sel), {}, std::move(aggs));
+  HashAggOp agg(OneChain(std::move(sel)), {}, std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   // val = id % 100 < 10 -> ids 0..9, 100..109, ... 10 per hundred.
@@ -727,16 +733,16 @@ TEST(CancellationTest, OperatorTreeStopsPromptly) {
   // Heavy cross join to keep it busy: join values with itself.
   std::vector<std::vector<Value>> rows2(10000, {Value::I64(1)});
   auto values2 = std::make_unique<ValuesOp>(s, std::move(rows2));
-  HashJoinOp join(std::move(values), std::move(values2), {0}, {0},
-                  JoinType::kInner);  // 10^8 output pairs
-  ASSERT_TRUE(join.Open(&ctx).ok());
+  auto join = SerialJoin(std::move(values), std::move(values2), {0}, {0},
+                         JoinType::kInner);  // 10^8 output pairs
+  ASSERT_TRUE(join->Open(&ctx).ok());
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     token.Cancel();
   });
   Status final_status = Status::OK();
   while (true) {
-    auto b = join.Next();
+    auto b = join->Next();
     if (!b.ok()) {
       final_status = b.status();
       break;
@@ -744,7 +750,7 @@ TEST(CancellationTest, OperatorTreeStopsPromptly) {
     if (*b == nullptr) break;
   }
   canceller.join();
-  join.Close();
+  join->Close();
   EXPECT_TRUE(final_status.IsCancelled());
 }
 

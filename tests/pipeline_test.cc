@@ -178,7 +178,7 @@ TEST_F(PipelineTest, JoinPhasesRunAsSchedulerTasks) {
     if (p.op == "JoinProbe[inner]") probe_clones++;
     if (p.op == "Scan") scans++;
     if (p.op == "JoinBuildMerge") merge_tasks++;
-    saw_parallel_sort |= p.op.rfind("ParallelSort", 0) == 0;
+    saw_parallel_sort |= p.op.rfind("Sort(", 0) == 0;
   }
   // The build's barrier merge fans out one task per radix partition.
   EXPECT_EQ(merge_tasks, 1 << 3);
@@ -231,9 +231,9 @@ TEST_F(PipelineTest, GroupByJoinAllPhasesProfiled) {
   for (const OperatorProfile& p : res->profile.operators) {
     build |= p.op == "JoinBuildMerge";
     probe |= p.op == "JoinProbe[inner]";
-    agg |= p.op == "ParallelHashAgg(4)";
+    agg |= p.op == "HashAgg(4)";
     agg_merge |= p.op == "AggMerge";
-    sort |= p.op.rfind("ParallelSort", 0) == 0;
+    sort |= p.op.rfind("Sort(", 0) == 0;
   }
   EXPECT_TRUE(build);
   EXPECT_TRUE(probe);
@@ -515,7 +515,7 @@ TEST_F(PipelineTest, ParallelSortOverAggregationUsesRangeSplit) {
   ExpectSameRows(*reference, *res, "sort-over-agg");
   bool saw_parallel_sort = false;
   for (const OperatorProfile& p : res->profile.operators) {
-    saw_parallel_sort |= p.op.rfind("ParallelSort", 0) == 0;
+    saw_parallel_sort |= p.op.rfind("Sort(", 0) == 0;
   }
   EXPECT_TRUE(saw_parallel_sort);
 }
@@ -672,7 +672,7 @@ TEST_F(PipelineTest, ExclusiveTimeSubtractsChildTime) {
   for (const OperatorProfile& p : res->profile.operators) {
     EXPECT_GE(p.exclusive_ns(), 0);
     EXPECT_LE(p.exclusive_ns(), p.open_ns + p.next_ns);
-    if (p.op == "Sort") {
+    if (p.op == "Sort(1)") {
       checked_sort = true;
       EXPECT_GT(p.child_ns, 0);  // the scan ran inside the sort's Next
     }
